@@ -54,9 +54,10 @@ func (s *Spec) topologySpec() (topology.ThreeTierSpec, error) {
 	if t.K != 0 {
 		tt.K = t.K
 	}
-	// building validates shape and bandwidth parameters eagerly, so a bad
-	// spec fails at load time
-	if _, err := topology.BuildThreeTier(tt); err != nil {
+	// the builder's own check, arithmetic only: a bad spec still fails at
+	// load time, but nothing here grows with the fabric, and a run builds
+	// the graph once (cluster.New or runFluid)
+	if err := tt.Validate(); err != nil {
 		return tt, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return tt, nil

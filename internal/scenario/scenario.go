@@ -223,7 +223,8 @@ var sweepParams = map[string]bool{
 
 // Parse reads, strictly decodes and validates one spec. Unknown JSON
 // fields at any level are errors, so typos fail loudly instead of
-// silently running the default.
+// silently running the default, and so is a generator params key that
+// repeats another up to case, which the canonical form could not keep.
 func Parse(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -237,6 +238,11 @@ func Parse(r io.Reader) (*Spec, error) {
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	for i, ph := range s.Workload {
+		if err := uniqueParamKeys(ph.Params); err != nil {
+			return nil, fmt.Errorf("scenario %s: phase %d (%s) params: %w", s.Name, i, ph.Generator, err)
+		}
 	}
 	return &s, nil
 }
@@ -281,6 +287,9 @@ func LoadDir(dir string) ([]*Spec, error) {
 // and system kinds, every workload phase (including generator parameters),
 // fault targets against the resolved server count, output kinds, and the
 // sweep. It is the single gate both the CLIs' -validate mode and Run use.
+// The topology is checked arithmetically (topology.ThreeTierSpec.Validate),
+// never built, so validation costs the same on any fabric size; a run
+// builds the graph exactly once.
 func (s *Spec) Validate() error {
 	if s.Version != Version {
 		return fmt.Errorf("scenario: version %d unsupported (want %d)", s.Version, Version)
@@ -483,6 +492,42 @@ func decodeStrict(raw json.RawMessage, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
+}
+
+// uniqueParamKeys rejects a params object with a key that repeats an
+// earlier one under the case folding encoding/json matches fields with
+// (strings.EqualFold). The decoder lets the last such key win, but
+// CanonicalJSON sorts keys, so {"arrivalrate": 3, "ArrivalRate": 2} would
+// hash like the different experiment {"ArrivalRate": 2, "arrivalrate": 3}.
+// Callers validate first: every key then names a generator field, so the
+// scan meets any repeat within the first few keys.
+func uniqueParamKeys(raw json.RawMessage) error {
+	if len(raw) == 0 {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return err // null: no keys
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		key := tok.(string)
+		for _, prev := range keys {
+			if strings.EqualFold(key, prev) {
+				return fmt.Errorf("key %q repeats %q", key, prev)
+			}
+		}
+		keys = append(keys, key)
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // BuildWorkload lowers the phase list onto a validated workload.Program:

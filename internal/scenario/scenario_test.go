@@ -70,6 +70,7 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	topo := func(m map[string]any) map[string]any { return m["topology"].(map[string]any) }
 	cases := []struct {
 		name    string
 		mutate  func(m map[string]any)
@@ -137,6 +138,23 @@ func TestValidationErrors(t *testing.T) {
 		{"fault beyond horizon", func(m map[string]any) {
 			m["faults"].([]any)[0].(map[string]any)["at"] = 50.0
 		}, "outside the simulated"},
+		{"negative racks", func(m map[string]any) { topo(m)["racks"] = -1.0 }, "topology: Racks = -1"},
+		{"negative serversPerRack", func(m map[string]any) { topo(m)["serversPerRack"] = -1.0 }, "topology: ServersPerRack = -1"},
+		{"negative aggSwitches", func(m map[string]any) { topo(m)["aggSwitches"] = -1.0 }, "topology: AggSwitches = -1"},
+		{"negative clients", func(m map[string]any) { topo(m)["clients"] = -1.0 }, "topology: Clients = -1"},
+		{"negative x", func(m map[string]any) { topo(m)["x"] = -5e7 }, "topology: X = -5e+07"},
+		{"negative k", func(m map[string]any) { topo(m)["k"] = -2.0 }, "topology: K = -2"},
+		{"negative coreFactor", func(m map[string]any) { topo(m)["coreFactor"] = -6.0 }, "topology: CoreFactor = -6"},
+		{"negative dcDelay", func(m map[string]any) { topo(m)["dcDelay"] = -0.001 }, "topology: DCDelay = -0.001"},
+		{"negative wanDelay", func(m map[string]any) { topo(m)["wanDelay"] = -0.05 }, "topology: WANDelay = -0.05"},
+		{"rack uplink underflows", func(m map[string]any) {
+			topo(m)["x"], topo(m)["k"] = 5e-324, 0.5
+		}, "topology: K*X = 0"},
+		// encoding/json would let the later, lower-case key win, while
+		// the canonical form sorts it last
+		{"params key repeated up to case", func(m map[string]any) {
+			m["workload"].([]any)[0].(map[string]any)["params"].(map[string]any)["arrivalrate"] = 3.0
+		}, `key "arrivalrate" repeats "ArrivalRate"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,7 +167,7 @@ func TestValidationErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = Parse(bytes.NewReader(raw))
+			_, err = parseNoPanic(t, raw)
 			if err == nil {
 				t.Fatalf("mutation %q validated", tc.name)
 			}

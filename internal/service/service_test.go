@@ -728,6 +728,33 @@ func TestSubmitRejections(t *testing.T) {
 	}
 }
 
+// TestSubmitNegativeDelayRejected: a custom fabric with a negative link
+// delay is a 400 on the job and group endpoints, both as a lone spec and
+// as a sweep, never a handler panic that drops the connection.
+func TestSubmitNegativeDelayRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, JobRunners: 1})
+	fig6 := `"topology": {"kind": "fig6", "x": 5e7, "k": 3}`
+	for _, topo := range []string{
+		`"topology": {"kind": "custom", "dcDelay": -0.001}`,
+		`"topology": {"kind": "custom", "wanDelay": -0.05}`,
+	} {
+		spec := strings.Replace(testSpec, fig6, topo, 1)
+		sweep := strings.Replace(sweepSpec, fig6, topo, 1)
+		if spec == testSpec || sweep == sweepSpec {
+			t.Fatal("test specs no longer carry the fig6 topology line")
+		}
+		if _, code := submit(t, ts, spec, ""); code != http.StatusBadRequest {
+			t.Errorf("job %s: status %d, want 400", topo, code)
+		}
+		if _, code := submitGroup(t, ts, "["+spec+"]", ""); code != http.StatusBadRequest {
+			t.Errorf("group %s: status %d, want 400", topo, code)
+		}
+		if _, code := submitGroup(t, ts, sweep, ""); code != http.StatusBadRequest {
+			t.Errorf("sweep group %s: status %d, want 400", topo, code)
+		}
+	}
+}
+
 func TestJobListOrder(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, JobRunners: 1})
 	a, _ := submit(t, ts, testSpec, "?wait=true")

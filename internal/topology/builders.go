@@ -52,7 +52,13 @@ func DefaultThreeTier() ThreeTierSpec {
 	}
 }
 
-func (s ThreeTierSpec) validate() error {
+// Validate reports whether BuildThreeTier accepts the spec, checking the
+// parameters arithmetically instead of building the graph, so its cost
+// does not grow with the fabric. Every count but Clients must be positive,
+// X, K and CoreFactor must be positive and so must the tier capacities
+// they multiply to (a product of tiny factors can underflow to zero), and
+// both delays must be non-negative: exactly what Graph.AddDuplex accepts.
+func (s ThreeTierSpec) Validate() error {
 	switch {
 	case s.Racks <= 0:
 		return fmt.Errorf("topology: Racks = %d", s.Racks)
@@ -68,6 +74,14 @@ func (s ThreeTierSpec) validate() error {
 		return fmt.Errorf("topology: K = %v", s.K)
 	case s.CoreFactor <= 0:
 		return fmt.Errorf("topology: CoreFactor = %v", s.CoreFactor)
+	case s.K*s.X <= 0:
+		return fmt.Errorf("topology: K*X = %v (K = %v, X = %v)", s.K*s.X, s.K, s.X)
+	case s.CoreFactor*s.X <= 0:
+		return fmt.Errorf("topology: CoreFactor*X = %v (CoreFactor = %v, X = %v)", s.CoreFactor*s.X, s.CoreFactor, s.X)
+	case s.DCDelay < 0:
+		return fmt.Errorf("topology: DCDelay = %v", s.DCDelay)
+	case s.WANDelay < 0:
+		return fmt.Errorf("topology: WANDelay = %v", s.WANDelay)
 	}
 	return nil
 }
@@ -96,7 +110,7 @@ type ThreeTier struct {
 // at level 0, host links level 1, rack-agg links level 2, agg-core links
 // level 3 (hmax = 3); client WAN links are level 4, outside the DC tree.
 func BuildThreeTier(spec ThreeTierSpec) (*ThreeTier, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	g := NewGraph()
