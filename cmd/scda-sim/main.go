@@ -39,6 +39,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -83,6 +84,13 @@ func main() {
 	if *scenarioFile != "" {
 		runScenario(*scenarioFile, *out)
 		return
+	}
+
+	// a NaN duration never ends generation (no arrival time compares >=
+	// NaN), and an infinite one never ends the run
+	if !(*duration > 0) || math.IsInf(*duration, 1) {
+		fmt.Fprintf(os.Stderr, "scda-sim: -duration %v must be finite and positive\n", *duration)
+		os.Exit(2)
 	}
 
 	var sys cluster.System

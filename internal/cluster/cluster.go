@@ -618,14 +618,21 @@ func (c *Cluster) Submit(req workload.Request) error {
 // simulation until horizon seconds (flows still in flight at the horizon
 // are not recorded, matching the paper's "flows ... which finish within
 // simulation time"). Returns the metrics.
+//
+// The requests go on one sim.Lane with one shared callback that receives
+// &reqs[i], so the request stream holds one heap slot rather than one
+// per request; workload generators return requests sorted by arrival,
+// and a request out of order still fires at its time. reqs must not be
+// modified until RunWorkload returns.
 func (c *Cluster) RunWorkload(reqs []workload.Request, horizon float64) *Metrics {
+	submit := func(arg any) {
+		// placement failures (disk full, no candidate) drop the
+		// request, as a real admission-controlled cloud would
+		_ = c.Submit(*arg.(*workload.Request))
+	}
+	arrivals := c.Sim.NewLane()
 	for i := range reqs {
-		req := reqs[i]
-		c.Sim.At(req.At, func() {
-			// placement failures (disk full, no candidate) drop the
-			// request, as a real admission-controlled cloud would
-			_ = c.Submit(req)
-		})
+		arrivals.AtArg(reqs[i].At, submit, &reqs[i])
 	}
 	c.Sim.RunUntil(horizon)
 	c.Metrics.Drops = c.Net.TotalDrops

@@ -20,8 +20,12 @@
 // are pooled on a per-Network free list (deterministic LIFO, not
 // sync.Pool, so reuse order — and therefore memory layout — is identical
 // across same-seed runs), per-port queues are ring buffers, and the two
-// simulator events per hop (transmit-complete, far-end arrival) reuse two
-// long-lived callbacks via sim.AfterArg instead of capturing closures.
+// simulator events per hop reuse two long-lived callbacks instead of
+// capturing closures. The transmit-complete event goes on the simulator
+// heap via sim.AfterArg. The far-end arrival goes on the link's sim.Lane:
+// a link delivers in the order it transmits, so its packets in
+// propagation take one heap slot per link, not one per packet, and fire
+// in the same order.
 package netsim
 
 import (
@@ -159,7 +163,8 @@ type linkState struct {
 	queuedB int
 	limitB  int
 	busy    bool
-	txSize  int // bytes of the packet currently on the wire
+	txSize  int       // bytes of the packet currently on the wire
+	prop    *sim.Lane // far-end arrivals, in transmit order
 	stats   LinkStats
 
 	// SJF state: flows get a dense per-port index on first arrival;
@@ -239,6 +244,7 @@ func New(s *sim.Simulator, g *topology.Graph, cfg Config) *Network {
 		ls := &states[i]
 		ls.link = l
 		ls.limitB = cfg.QueueBytes
+		ls.prop = s.NewLane()
 		if cfg.Discipline == SmallestFlowFirst {
 			ls.sjf = true
 			ls.flowIdx = make(map[FlowID]int32)
@@ -385,7 +391,8 @@ func (ls *linkState) pickNext() int {
 }
 
 // startTx puts the chosen queued packet on the wire and schedules its two
-// hop events through the pre-built callbacks.
+// hop events through the pre-built callbacks: transmit-complete on the
+// heap, the far-end arrival on the link's propagation lane.
 //
 //scda:noalloc
 func (n *Network) startTx(ls *linkState) {
@@ -401,7 +408,7 @@ func (n *Network) startTx(ls *linkState) {
 	// transmission complete: free the port, chain the next packet
 	n.Sim.AfterArg(txTime, n.txDoneFn, ls)
 	// arrival at the far end after propagation
-	n.Sim.AfterArg(txTime+ls.link.Delay, n.arriveFn, pkt)
+	ls.prop.AfterArg(txTime+ls.link.Delay, n.arriveFn, pkt)
 }
 
 // SetCapacity changes a link's transmission capacity at runtime — the

@@ -1,10 +1,14 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestScheduleFireIsAllocationFree pins the event-arena property: after
 // warm-up, schedule→fire→recycle cycles (with and without AtArg payloads,
-// including a cancel) do not allocate.
+// including a cancel) do not allocate, and neither do lane push→fire
+// cycles, a push before the lane's tail included.
 func TestScheduleFireIsAllocationFree(t *testing.T) {
 	s := New()
 	fn := func() {}
@@ -21,6 +25,31 @@ func TestScheduleFireIsAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("warm schedule/fire/cancel allocates %v allocs/op, want 0", allocs)
 	}
+	l := s.NewLane()
+	laneCycle := func() {
+		for i := 1; i <= 8; i++ {
+			l.AfterArg(Time(i), fnArg, arg)
+		}
+		l.AfterArg(0.5, fnArg, arg) // before the tail: onto the heap
+		s.Run()
+	}
+	laneCycle() // warm the arena to nine pending events
+	if allocs := testing.AllocsPerRun(200, laneCycle); allocs != 0 {
+		t.Fatalf("warm lane push/fire allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRunUntilNaNPanics: no event time compares greater than NaN, so a
+// NaN end would run past every horizon while a ticker is armed.
+func TestRunUntilNaNPanics(t *testing.T) {
+	s := New()
+	s.At(1, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunUntil(NaN) did not panic")
+		}
+	}()
+	s.RunUntil(math.NaN())
 }
 
 // TestStaleHandleCannotTouchRecycledSlot verifies the generation guard: a

@@ -15,9 +15,16 @@
 // a flat arena owned by the Simulator, recycled through a free list, and
 // ordered by a 4-ary heap of arena indices. A 4-ary heap does the same
 // comparisons-per-level work as a binary heap but halves the tree depth,
-// which matters when every sift touches the arena; events with equal time
-// fire in the order they were scheduled (FIFO tie-break via sequence
-// numbers), which keeps runs deterministic.
+// which matters when every sift touches the arena. Every event takes the
+// next sequence number when it is scheduled, and events with equal time
+// fire in sequence order (FIFO tie-break), which keeps runs deterministic.
+//
+// The heap holds individual events and lane heads. A Lane is a FIFO for a
+// stream whose times never decrease in push order — a link's far-end
+// arrivals, a sorted request list — and keeps only its earliest entry in
+// the heap, so a stream of any length costs the heap one slot. Lane
+// entries keep the (time, sequence) key they would have had on the heap,
+// so the firing order is the same as scheduling each one directly.
 package sim
 
 import (
@@ -40,6 +47,8 @@ type eventSlot struct {
 	arg   any
 	gen   uint32
 	idx   int32 // position in the heap, -1 when not queued
+	lane  int32 // 1 + index in Simulator.lanes of the owning lane; 0 for a plain event
+	next  int32 // the owning lane's next entry, -1 at its tail
 }
 
 // Event is a cancellable handle to a scheduled callback. It is a small
@@ -100,6 +109,10 @@ type Simulator struct {
 	free    []int32 // recycled arena indices
 	running bool
 	stopped bool
+	lanes   []*Lane
+	// laneWaiting counts the lane entries behind their lane's head: they
+	// are pending but not in the heap.
+	laneWaiting int
 
 	// Processed counts events executed since construction; useful for
 	// progress reporting and for benchmark metrics (events/sec).
@@ -114,8 +127,8 @@ func New() *Simulator {
 // Now returns the current simulation time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Len returns the number of queued events.
-func (s *Simulator) Len() int { return len(s.heap) }
+// Len returns the number of queued events, lane entries included.
+func (s *Simulator) Len() int { return len(s.heap) + s.laneWaiting }
 
 // alloc takes a slot from the free list (or grows the arena), stamps it
 // with t and the next FIFO sequence number, and returns its index.
@@ -154,6 +167,7 @@ func (s *Simulator) recycle(id int32) {
 	slot.fnArg = nil
 	slot.arg = nil
 	slot.idx = -1
+	slot.lane = 0
 	s.free = append(s.free, id)
 }
 
@@ -312,8 +326,14 @@ func (s *Simulator) Run() {
 // the queue drained early (so that successive RunUntil calls advance the
 // clock monotonically even through idle periods).
 //
+// A NaN end panics, as scheduling at a NaN time does: no event time
+// compares greater than NaN, so the run would never stop.
+//
 //scda:noalloc guarded by TestScheduleFireIsAllocationFree and BenchmarkEventLoop
 func (s *Simulator) RunUntil(end Time) {
+	if math.IsNaN(end) {
+		panic("sim: RunUntil with NaN end")
+	}
 	if s.running {
 		panic("sim: RunUntil re-entered")
 	}
@@ -333,8 +353,13 @@ func (s *Simulator) RunUntil(end Time) {
 		// Pop and recycle before invoking the callback: the handle reads
 		// as not-Pending inside its own callback (matching pre-arena
 		// semantics), and the slot is immediately reusable by whatever
-		// the callback schedules.
-		s.popMin()
+		// the callback schedules. A lane head hands its heap position to
+		// the lane's next entry first.
+		if slot.lane != 0 {
+			s.advanceLane(top)
+		} else {
+			s.popMin()
+		}
 		s.recycle(top)
 		if fnArg != nil {
 			fnArg(arg)
@@ -345,6 +370,82 @@ func (s *Simulator) RunUntil(end Time) {
 	if !s.stopped && !math.IsInf(end, 1) && s.now < end {
 		s.now = end
 	}
+}
+
+// Lane is a FIFO of events for a stream whose times never decrease in
+// push order, such as the far-end arrivals of one link (store-and-forward
+// with a fixed delay delivers in transmit order) or a sorted request list.
+// Each push takes an arena slot and the simulator's next sequence number,
+// exactly as Simulator.AtArg does, but only the lane's head sits in the
+// heap: when it fires, the lane's next entry takes its heap position
+// under that entry's own (time, sequence) key before the callback runs.
+// A push earlier than the lane's tail goes straight onto the heap under
+// the key it takes. Every key is unique and never changes, so events fire
+// in the same order, with the same Now, as if each had been scheduled
+// with Simulator.AtArg, and they count toward Processed and Len the same
+// way. Lane entries cannot be cancelled.
+type Lane struct {
+	s    *Simulator
+	id   int32 // 1 + index in s.lanes
+	tail int32 // arena slot of the last entry, -1 when the lane is empty
+}
+
+// NewLane returns an empty lane on s.
+func (s *Simulator) NewLane() *Lane {
+	l := &Lane{s: s, id: int32(len(s.lanes) + 1), tail: -1}
+	s.lanes = append(s.lanes, l)
+	return l
+}
+
+// AtArg schedules fn(arg) to run at absolute time t, with the same panics
+// as Simulator.AtArg on a past or non-finite time.
+//
+//scda:noalloc
+func (l *Lane) AtArg(t Time, fn func(any), arg any) {
+	s := l.s
+	if l.tail >= 0 && t < s.arena[l.tail].at {
+		s.AtArg(t, fn, arg) // out of order: the heap orders it under its own key
+		return
+	}
+	id := s.alloc(t)
+	slot := &s.arena[id]
+	slot.fnArg = fn
+	slot.arg = arg
+	slot.lane = l.id
+	slot.next = -1
+	if l.tail >= 0 {
+		s.arena[l.tail].next = id
+		s.laneWaiting++
+	} else {
+		s.push(id)
+	}
+	l.tail = id
+}
+
+// AfterArg schedules fn(arg) to run d seconds from now.
+//
+//scda:noalloc
+func (l *Lane) AfterArg(d Time, fn func(any), arg any) {
+	l.AtArg(l.s.now+d, fn, arg)
+}
+
+// advanceLane removes the lane head top from the top of the heap and
+// puts the lane's next entry in its place: the next key is larger, so one
+// sift down restores the heap.
+//
+//scda:noalloc
+func (s *Simulator) advanceLane(top int32) {
+	slot := &s.arena[top]
+	next := slot.next
+	if next < 0 {
+		s.lanes[slot.lane-1].tail = -1
+		s.popMin()
+		return
+	}
+	slot.idx = -1
+	s.heap[0] = next
+	s.siftDown(0)
+	s.laneWaiting--
 }
 
 // Ticker invokes fn every period seconds, starting at now+period, until

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ThreeTierSpec parameterises the paper's experimental topology (fig. 6):
 // a three-tier datacenter tree (block servers → ToR/edge → aggregation →
@@ -54,10 +57,12 @@ func DefaultThreeTier() ThreeTierSpec {
 
 // Validate reports whether BuildThreeTier accepts the spec, checking the
 // parameters arithmetically instead of building the graph, so its cost
-// does not grow with the fabric. Every count but Clients must be positive,
-// X, K and CoreFactor must be positive and so must the tier capacities
-// they multiply to (a product of tiny factors can underflow to zero), and
-// both delays must be non-negative: exactly what Graph.AddDuplex accepts.
+// does not grow with the fabric. Every count but Clients must be positive;
+// X, K and CoreFactor must be finite and positive, and so must the tier
+// capacities they multiply to (a product of tiny factors can underflow to
+// zero, one of huge factors overflow to +Inf); both delays must be finite
+// and non-negative. That is what Graph.AddDuplex accepts, minus the NaN
+// and infinite values it lets through and a run cannot use.
 func (s ThreeTierSpec) Validate() error {
 	switch {
 	case s.Racks <= 0:
@@ -68,23 +73,27 @@ func (s ThreeTierSpec) Validate() error {
 		return fmt.Errorf("topology: AggSwitches = %d", s.AggSwitches)
 	case s.Clients < 0:
 		return fmt.Errorf("topology: Clients = %d", s.Clients)
-	case s.X <= 0:
+	case !positiveFinite(s.X):
 		return fmt.Errorf("topology: X = %v", s.X)
-	case s.K <= 0:
+	case !positiveFinite(s.K):
 		return fmt.Errorf("topology: K = %v", s.K)
-	case s.CoreFactor <= 0:
+	case !positiveFinite(s.CoreFactor):
 		return fmt.Errorf("topology: CoreFactor = %v", s.CoreFactor)
-	case s.K*s.X <= 0:
+	case !positiveFinite(s.K * s.X):
 		return fmt.Errorf("topology: K*X = %v (K = %v, X = %v)", s.K*s.X, s.K, s.X)
-	case s.CoreFactor*s.X <= 0:
+	case !positiveFinite(s.CoreFactor * s.X):
 		return fmt.Errorf("topology: CoreFactor*X = %v (CoreFactor = %v, X = %v)", s.CoreFactor*s.X, s.CoreFactor, s.X)
-	case s.DCDelay < 0:
+	case !(s.DCDelay >= 0) || math.IsInf(s.DCDelay, 1):
 		return fmt.Errorf("topology: DCDelay = %v", s.DCDelay)
-	case s.WANDelay < 0:
+	case !(s.WANDelay >= 0) || math.IsInf(s.WANDelay, 1):
 		return fmt.Errorf("topology: WANDelay = %v", s.WANDelay)
 	}
 	return nil
 }
+
+// positiveFinite reports whether v is a usable capacity or factor: NaN
+// fails the comparison, so it is rejected with zero, negatives and ±Inf.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // ThreeTier is the built fig. 6 topology with the node roles the cluster
 // layer needs.

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // clampCount bounds a fuzzed count so each build stays at a few thousand
 // nodes; the negative end keeps the rejection branches reachable.
@@ -33,6 +36,10 @@ func FuzzThreeTierSpec(f *testing.F) {
 	add(tiny)
 	tiny.K, tiny.CoreFactor = 1, 0.5
 	add(tiny)
+	// NaN passes every `<= 0` test
+	nan := DefaultThreeTier()
+	nan.X = math.NaN()
+	add(nan)
 	setters := []func(*ThreeTierSpec, int){
 		func(s *ThreeTierSpec, v int) { s.Racks = v },
 		func(s *ThreeTierSpec, v int) { s.ServersPerRack = v },

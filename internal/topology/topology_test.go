@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +94,43 @@ func TestThreeTierValidateSpec(t *testing.T) {
 	bad.K = 0
 	if _, err := BuildThreeTier(bad); err == nil {
 		t.Fatal("zero K accepted")
+	}
+}
+
+// TestThreeTierValidateRejectsNonFinite: NaN passes every `x <= 0` test,
+// so each float field needs its own rejection of NaN and ±Inf; so do the
+// tier capacities two finite factors multiply to.
+func TestThreeTierValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*ThreeTierSpec, float64)
+	}{
+		{"X", func(s *ThreeTierSpec, v float64) { s.X = v }},
+		{"K", func(s *ThreeTierSpec, v float64) { s.K = v }},
+		{"CoreFactor", func(s *ThreeTierSpec, v float64) { s.CoreFactor = v }},
+		{"DCDelay", func(s *ThreeTierSpec, v float64) { s.DCDelay = v }},
+		{"WANDelay", func(s *ThreeTierSpec, v float64) { s.WANDelay = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := DefaultThreeTier()
+			f.set(&s, v)
+			if err := s.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+			if _, err := BuildThreeTier(s); err == nil {
+				t.Errorf("BuildThreeTier built %s = %v", f.name, v)
+			}
+		}
+	}
+	huge := DefaultThreeTier()
+	huge.X, huge.K = math.MaxFloat64, 2
+	if err := huge.Validate(); err == nil {
+		t.Error("K*X overflowing to +Inf accepted")
+	}
+	huge.K, huge.CoreFactor = 1, 2
+	if err := huge.Validate(); err == nil {
+		t.Error("CoreFactor*X overflowing to +Inf accepted")
 	}
 }
 
