@@ -11,8 +11,9 @@
 //
 //   - parsing and validation (this file): strict JSON (unknown fields are
 //     errors), version gating, and eager validation of every cross-layer
-//     reference — workload generators against the registry, fault targets
-//     against the topology's server count, output kinds against the known
+//     reference — workload generators against the registry, their client
+//     populations against the topology's client count, fault targets
+//     against its server count, output kinds against the known
 //     reductions — so a bad spec fails at load time with a line-addressable
 //     error, never mid-simulation.
 //   - building (build.go): lowering a spec onto cluster.Config and a
@@ -284,9 +285,10 @@ func LoadDir(dir string) ([]*Spec, error) {
 }
 
 // Validate checks the whole spec: schema version, identifiers, topology
-// and system kinds, every workload phase (including generator parameters),
-// fault targets against the resolved server count, output kinds, and the
-// sweep. It is the single gate both the CLIs' -validate mode and Run use.
+// and system kinds, every workload phase (including generator parameters,
+// and its client population against the resolved client count), fault
+// targets against the resolved server count, output kinds, and the sweep.
+// It is the single gate both the CLIs' -validate mode and Run use.
 // The topology is checked arithmetically (topology.ThreeTierSpec.Validate),
 // never built, so validation costs the same on any fabric size; a run
 // builds the graph exactly once.
@@ -359,8 +361,17 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: system.rscale requires system.kind scda", s.Name)
 		}
 	}
-	if _, err := s.BuildWorkload(); err != nil {
+	prog, err := s.BuildWorkload()
+	if err != nil {
 		return err
+	}
+	// a request's Client indexes the topology's client list, so a larger
+	// population has requests no client can send
+	for i, ph := range prog.Phases {
+		if c, ok := workload.ClientPopulation(ph.Gen); ok && c > tt.Clients {
+			return fmt.Errorf("scenario %s: phase %d (%s): Clients = %d exceeds the topology's %d clients",
+				s.Name, i, s.Workload[i].Generator, c, tt.Clients)
+		}
 	}
 	nServers := tt.Racks * tt.ServersPerRack
 	for i, f := range s.Faults {

@@ -150,6 +150,16 @@ func TestValidationErrors(t *testing.T) {
 		{"rack uplink underflows", func(m map[string]any) {
 			topo(m)["x"], topo(m)["k"] = 5e-324, 0.5
 		}, "topology: K*X = 0"},
+		// a request's client indexes the topology's client list
+		{"phase clients beyond topology", func(m map[string]any) {
+			m["workload"].([]any)[0].(map[string]any)["params"].(map[string]any)["Clients"] = 9.0
+		}, "phase 0 (dc): Clients = 9 exceeds the topology's 8 clients"},
+		{"fluid phase clients beyond topology", func(m map[string]any) {
+			m["engine"] = "fluid"
+			m["system"] = map[string]any{}
+			delete(m, "faults")
+			m["workload"] = []any{map[string]any{"generator": "pareto", "params": map[string]any{"ArrivalRate": 50.0}}}
+		}, "phase 0 (pareto): Clients = 40 exceeds the topology's 8 clients"},
 		// encoding/json would let the later, lower-case key win, while
 		// the canonical form sorts it last
 		{"params key repeated up to case", func(m map[string]any) {

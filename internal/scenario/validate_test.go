@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,7 +36,8 @@ func parseNoPanic(t *testing.T, raw []byte) (*Spec, error) {
 // TestValidateCostIndependentOfFabric pins that validation checks the
 // topology arithmetically: the 500-client / 200-server fabric of
 // scenarios/fluid-100k.json costs no more allocations to validate than the
-// same spec on the default-shaped custom fabric.
+// same spec on the default-shaped custom fabric, its phase drawing from the
+// default 40 clients.
 func TestValidateCostIndependentOfFabric(t *testing.T) {
 	big, err := Load(filepath.Join("..", "..", "scenarios", "fluid-100k.json"))
 	if err != nil {
@@ -45,6 +47,15 @@ func TestValidateCostIndependentOfFabric(t *testing.T) {
 	def := topology.DefaultThreeTier()
 	small.Topology.Racks, small.Topology.ServersPerRack = def.Racks, def.ServersPerRack
 	small.Topology.AggSwitches, small.Topology.Clients = def.AggSwitches, def.Clients
+	var params map[string]any
+	if err := json.Unmarshal(big.Workload[0].Params, &params); err != nil {
+		t.Fatal(err)
+	}
+	params["Clients"] = def.Clients
+	small.Workload = []PhaseSpec{big.Workload[0]}
+	if small.Workload[0].Params, err = json.Marshal(params); err != nil {
+		t.Fatal(err)
+	}
 	if err := small.Validate(); err != nil {
 		t.Fatal(err)
 	}

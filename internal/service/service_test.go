@@ -755,6 +755,37 @@ func TestSubmitNegativeDelayRejected(t *testing.T) {
 	}
 }
 
+// TestSubmitClientsBeyondTopologyRejected: a workload phase drawing from
+// more clients than the topology has is a 400 naming the phase on the job,
+// group and search endpoints, never a run in which the extra clients'
+// requests fail (packet engine) or fold onto other clients (fluid engine).
+func TestSubmitClientsBeyondTopologyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, JobRunners: 1})
+	fig6 := `"topology": {"kind": "fig6", "x": 5e7, "k": 3}`
+	// the dc phase keeps the generator's default 40 clients
+	few := `"topology": {"kind": "custom", "clients": 8}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", testSpec},
+		{"/v1/groups", "[" + testSpec + "]"},
+		{"/v1/groups", sweepSpec},
+		{"/v1/searches", searchSpec},
+	} {
+		body := strings.Replace(tc.body, fig6, few, 1)
+		if body == tc.body {
+			t.Fatalf("%s: the test spec no longer carries the fig6 topology line", tc.path)
+		}
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("phase 0 (dc): Clients = 40 exceeds the topology's 8 clients")) {
+			t.Errorf("%s: %d %s, want 400 naming the phase's clients", tc.path, resp.StatusCode, msg)
+		}
+	}
+}
+
 func TestJobListOrder(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, JobRunners: 1})
 	a, _ := submit(t, ts, testSpec, "?wait=true")

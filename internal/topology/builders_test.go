@@ -25,11 +25,7 @@ func FuzzThreeTierSpec(f *testing.F) {
 		f.Add(s.Racks, s.ServersPerRack, s.AggSwitches, s.Clients, s.X, s.K, s.CoreFactor, s.DCDelay, s.WANDelay)
 	}
 	add(DefaultThreeTier())
-	// the 500-client / 200-server fabric of scenarios/fluid-100k.json
-	big := DefaultThreeTier()
-	big.Racks, big.ServersPerRack, big.AggSwitches, big.Clients = 25, 8, 5, 500
-	big.X, big.K, big.CoreFactor = 5e6, 5, 40
-	add(big)
+	add(fabric500x200())
 	// positive factors whose tier capacity underflows to zero
 	tiny := DefaultThreeTier()
 	tiny.X, tiny.K = 5e-324, 0.5

@@ -86,6 +86,8 @@ func (d DiurnalSpec) Validate() error {
 	return nil
 }
 
+func (d DiurnalSpec) clientPopulation() int { return d.Clients }
+
 // Rate returns the instantaneous arrival rate at time t.
 func (d DiurnalSpec) Rate(t float64) float64 {
 	return d.BaseRate * (1 + d.Amplitude*math.Sin(2*math.Pi*(t/d.Period+d.Phase)))

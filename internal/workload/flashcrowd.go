@@ -76,6 +76,8 @@ func (f FlashCrowdSpec) Validate() error {
 	return nil
 }
 
+func (f FlashCrowdSpec) clientPopulation() int { return f.Clients }
+
 // HotContent is the ID of the flash crowd's hot object.
 const HotContent = content.ID("flash-hot")
 

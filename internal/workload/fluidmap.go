@@ -62,11 +62,15 @@ func (m *FluidMapper) server(id content.ID) topology.NodeID {
 // Map lowers requests (in arrival order) onto fluid flows, appending to
 // dst and returning it. Writes record the content size for later reads;
 // reads of unknown content and zero-sized transfers are skipped and
-// counted. The flow's ECMP hash is its index in the request sequence, so
+// counted. A request whose client is not in the topology's client list is
+// an error. The flow's ECMP hash is its index in the request sequence, so
 // path selection is deterministic and spread across equal-cost uplinks.
 func (m *FluidMapper) Map(dst []FluidFlow, reqs []Request) ([]FluidFlow, error) {
 	for i, req := range reqs {
-		client := m.tt.Clients[req.Client%len(m.tt.Clients)]
+		if req.Client < 0 || req.Client >= len(m.tt.Clients) {
+			return dst, fmt.Errorf("workload: fluid map request %d: client %d out of range", i, req.Client)
+		}
+		client := m.tt.Clients[req.Client]
 		srv := m.server(req.Content)
 		size := req.Size
 		var src, sink topology.NodeID

@@ -40,6 +40,20 @@ func TestRegistryNewGeneratesAndErrors(t *testing.T) {
 		if len(reqs) == 0 {
 			t.Errorf("generator %q produced no requests in 5s", name)
 		}
+		// scenario validation bounds every phase's clients by this
+		clients, ok := ClientPopulation(gen)
+		if !ok {
+			t.Errorf("generator %q reports no client population", name)
+		}
+		for _, r := range reqs {
+			if r.Client < 0 || r.Client >= clients {
+				t.Errorf("generator %q: request client %d outside its population %d", name, r.Client, clients)
+				break
+			}
+		}
+	}
+	if _, ok := ClientPopulation(Program{}); ok {
+		t.Error("a Program reports a client population of its own")
 	}
 	if _, err := New("nope"); err == nil {
 		t.Fatal("New(nope) did not error")

@@ -67,6 +67,8 @@ func (m MixedSpec) Validate() error {
 	return nil
 }
 
+func (m MixedSpec) clientPopulation() int { return m.Clients }
+
 // zipfRank draws a rank in [0, n) with P(r) ∝ 1/(r+1)^s via inversion on
 // the truncated harmonic weights.
 func zipfRank(rng *sim.RNG, n int, s float64) int {

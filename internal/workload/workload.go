@@ -69,6 +69,18 @@ type Generator interface {
 	Generate(rng *sim.RNG, duration float64) []Request
 }
 
+// ClientPopulation returns the Clients parameter of a registered
+// generator: every request it produces has Client in [0, n). It reports
+// false for a generator without one, such as a Program, whose phases each
+// have their own.
+func ClientPopulation(g Generator) (n int, ok bool) {
+	p, ok := g.(interface{ clientPopulation() int })
+	if !ok {
+		return 0, false
+	}
+	return p.clientPopulation(), true
+}
+
 // VideoSpec parameterises the YouTube-trace-shaped workload.
 type VideoSpec struct {
 	// ArrivalRate is video flows per second across all clients (the
@@ -121,6 +133,8 @@ func (v VideoSpec) Validate() error {
 	}
 	return nil
 }
+
+func (v VideoSpec) clientPopulation() int { return v.Clients }
 
 // ControlFlowMaxBytes is the paper's control/video split: "control flows
 // which are less than 5KB and YouTube video flows which are greater than
@@ -232,6 +246,8 @@ func (d DCSpec) Validate() error {
 	return nil
 }
 
+func (d DCSpec) clientPopulation() int { return d.Clients }
+
 // Generate implements Generator.
 func (d DCSpec) Generate(rng *sim.RNG, duration float64) []Request {
 	if err := d.Validate(); err != nil {
@@ -300,6 +316,8 @@ func (p ParetoSpec) Validate() error {
 	}
 	return nil
 }
+
+func (p ParetoSpec) clientPopulation() int { return p.Clients }
 
 // Generate implements Generator.
 func (p ParetoSpec) Generate(rng *sim.RNG, duration float64) []Request {

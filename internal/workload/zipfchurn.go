@@ -83,6 +83,8 @@ func (z ZipfChurnSpec) Validate() error {
 	return nil
 }
 
+func (z ZipfChurnSpec) clientPopulation() int { return z.Clients }
+
 // Generate implements Generator.
 func (z ZipfChurnSpec) Generate(rng *sim.RNG, duration float64) []Request {
 	if err := z.Validate(); err != nil {

@@ -18,6 +18,9 @@
 # converging purely from cached evaluations), and
 # BenchmarkServiceSubmitShed the admission-control rejection fast path (a
 # server pinned into overload answering 429 before reading the body);
+# BenchmarkComputeRouting builds the route tables of the fig. 6 tree and of
+# the 500-client / 200-server fabric, whose allocation counts must match
+# (hosts own no table);
 # BenchmarkLintSelf tracks the static-analysis suite's cost per package
 # (parse + type-check + all five analyzers over internal/lint itself), so
 # the CI lint step's budget stays visible;
@@ -33,8 +36,8 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkLintSelf' \
-    -benchmem ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/lint | tee "$tmp"
+    -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkComputeRouting|BenchmarkLintSelf' \
+    -benchmem ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/topology ./internal/lint | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkAllFiguresSerial' -benchtime=1x -benchmem . | tee -a "$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go env GOVERSION)" '
