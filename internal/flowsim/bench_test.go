@@ -2,8 +2,10 @@ package flowsim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -125,20 +127,27 @@ func BenchmarkChurn(b *testing.B) {
 	})
 }
 
-// fluidBench precomputes the 1000-flow three-tier workload (paths
-// resolved once) so the benchmark times the simulator, not routing.
+// fluidBench precomputes a whole fluid workload (arrival times, sizes,
+// and paths routed once) so the benchmarks time the simulator, not
+// routing or generation.
 type fluidBench struct {
-	sim   *Simulator
-	paths [][]topology.LinkID
+	sim     *Simulator
+	at      []float64
+	size    []float64
+	paths   [][]topology.LinkID
+	horizon float64
+	done    int // completions every run must reproduce
 }
 
+// newFluidBench is the 1000-flow workload on the default fig. 6 tree:
+// 1 MB flows arriving every millisecond, all run to completion.
 func newFluidBench(b testing.TB) *fluidBench {
 	tt, err := topology.BuildThreeTier(topology.DefaultThreeTier())
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := topology.ComputeRouting(tt.Graph)
-	fb := &fluidBench{sim: New(tt.Graph)}
+	fb := &fluidBench{sim: New(tt.Graph), horizon: 1e6, done: 1000}
 	for j := 0; j < 1000; j++ {
 		src := tt.Clients[j%len(tt.Clients)]
 		dst := tt.Servers[(j*3)%len(tt.Servers)]
@@ -146,11 +155,53 @@ func newFluidBench(b testing.TB) *fluidBench {
 		if err != nil {
 			b.Fatal(err)
 		}
+		fb.at = append(fb.at, float64(j)*0.001)
+		fb.size = append(fb.size, 1e6)
 		fb.paths = append(fb.paths, path)
 	}
 	return fb
 }
 
+// fabricSpec is the 500-client / 200-server fabric of the sim-fluid
+// benchmark workload and scenarios/fluid-100k.json.
+func fabricSpec() topology.ThreeTierSpec {
+	spec := topology.DefaultThreeTier()
+	spec.Clients, spec.Racks, spec.ServersPerRack, spec.AggSwitches = 500, 25, 8, 5
+	spec.X, spec.K, spec.CoreFactor = 5e6, 5, 40
+	return spec
+}
+
+// newFabricBench is churn on the 500/200 fabric shaped like the sim-fluid
+// churn specs: Poisson arrivals at 450/s for 2 s (~900 flows) from uniform
+// clients to uniform servers, Pareto sizes (shape 1.6, mean 0.5 MB,
+// capped at 100 MiB), run to a 6 s horizon, by which several hundred
+// flows are resident and the heavy tail is still in flight.
+func newFabricBench(b testing.TB) *fluidBench {
+	tt, err := topology.BuildThreeTier(fabricSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := topology.ComputeRouting(tt.Graph)
+	fb := &fluidBench{sim: New(tt.Graph), horizon: 6, done: -1}
+	rng := sim.NewRNG(1)
+	const rate, mean, shape = 450.0, 5e5, 1.6
+	for now := rng.Exp(rate); now < 2; now += rng.Exp(rate) {
+		src := tt.Clients[rng.Intn(len(tt.Clients))]
+		dst := tt.Servers[rng.Intn(len(tt.Servers))]
+		path, err := r.Path(src, dst, uint64(len(fb.paths)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytes := math.Min(rng.Pareto(mean*(shape-1)/shape, shape), 100<<20)
+		fb.at = append(fb.at, now)
+		fb.size = append(fb.size, bytes*8)
+		fb.paths = append(fb.paths, path)
+	}
+	return fb
+}
+
+// run replays the workload on the reused Simulator; the first run fixes
+// the completion count every later run must reproduce.
 func (fb *fluidBench) run(b testing.TB) {
 	s := fb.sim
 	s.Reset()
@@ -158,27 +209,40 @@ func (fb *fluidBench) run(b testing.TB) {
 		f := s.AcquireFlow()
 		f.ID = int64(j)
 		f.Path = path
-		f.Size = 1e6
-		if err := s.AddFlow(float64(j)*0.001, f); err != nil {
+		f.Size = fb.size[j]
+		if err := s.AddFlow(fb.at[j], f); err != nil {
 			b.Fatal(err)
 		}
 	}
-	s.Run(1e6)
-	if len(s.Completed) != 1000 {
-		b.Fatal("incomplete")
+	s.Run(fb.horizon)
+	if fb.done < 0 {
+		fb.done = len(s.Completed)
+	}
+	if len(s.Completed) != fb.done {
+		b.Fatalf("%d flows completed, want %d", len(s.Completed), fb.done)
 	}
 }
 
-// BenchmarkFluid1000Flows runs a full 1000-flow fluid simulation per op on
-// a reused Simulator; steady state is allocation-free (pooled flows, typed
-// reused heaps, incremental rate repair), guarded by
-// TestSimulatorSteadyStateAllocationFree.
-func BenchmarkFluid1000Flows(b *testing.B) {
-	fb := newFluidBench(b)
-	fb.run(b) // warm pools and scratch to high-water mark
+// benchFluid times whole runs of a warm, Reset-reused Simulator; steady
+// state is allocation-free (pooled flows, typed reused heaps, incremental
+// rate repair), guarded by TestSimulatorSteadyStateAllocationFree.
+func benchFluid(b *testing.B, fb *fluidBench) {
+	// warm pools and scratch to their high-water marks; the second run's
+	// Reset is the first to recycle flows into the free list
+	fb.run(b)
+	fb.run(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fb.run(b)
 	}
 }
+
+// BenchmarkFluid1000Flows runs a full 1000-flow fluid simulation per op on
+// the 40-client default fabric.
+func BenchmarkFluid1000Flows(b *testing.B) { benchFluid(b, newFluidBench(b)) }
+
+// BenchmarkFluidFabric runs the sim-fluid churn regime per op: ~900 flows
+// on the 500-client / 200-server fabric, where each repair replays most of
+// its rounds and real rounds drain links to exactly zero.
+func BenchmarkFluidFabric(b *testing.B) { benchFluid(b, newFabricBench(b)) }

@@ -332,19 +332,26 @@ func (s *Simulator) recycle(f *Flow) {
 	s.free = append(s.free, f)
 }
 
-// AddFlow schedules a flow arrival. Size is in bits.
+// AddFlow schedules a flow arrival. Size is in bits; a weight of 0 or less
+// means 1. A NaN arrival time or size, a path link outside the graph, and
+// a NaN or infinite weight are rejected with an error naming the field.
+// An infinite size or arrival time is accepted: the flow never finishes,
+// or never arrives.
 func (s *Simulator) AddFlow(at float64, f *Flow) error {
-	if f.Size <= 0 {
-		return fmt.Errorf("flowsim: flow %d size %v", f.ID, f.Size)
+	if math.IsNaN(at) {
+		return fmt.Errorf("flowsim: flow %d arrival time NaN", f.ID)
 	}
-	if len(f.Path) == 0 {
-		return fmt.Errorf("flowsim: flow %d empty path", f.ID)
+	if !(f.Size > 0) {
+		return fmt.Errorf("flowsim: flow %d size %v", f.ID, f.Size)
 	}
 	if f.Weight <= 0 {
 		f.Weight = 1
 	}
+	if err := checkFlow(f, len(s.capacities)); err != nil {
+		return fmt.Errorf("flowsim: %w", err)
+	}
 	if at < s.now {
-		return fmt.Errorf("flowsim: arrival %v in the past (now %v)", at, s.now)
+		return fmt.Errorf("flowsim: flow %d arrival time %v in the past (now %v)", f.ID, at, s.now)
 	}
 	f.seq = s.seq
 	s.seq++
@@ -352,10 +359,17 @@ func (s *Simulator) AddFlow(at float64, f *Flow) error {
 	return nil
 }
 
-// Run advances until all flows complete or the horizon is reached.
+// Run advances until the horizon, materializing every in-flight flow's
+// Size there. An infinite horizon runs until nothing is pending, leaving
+// the clock at the last event, as sim.Simulator.RunUntil does. A NaN
+// horizon panics: no event time compares greater than NaN, so the run
+// would never stop.
 //
 //scda:noalloc guarded by the AllocsPerRun checks in incremental_test.go
 func (s *Simulator) Run(horizon float64) {
+	if math.IsNaN(horizon) {
+		panic("flowsim: Run with NaN horizon")
+	}
 	for {
 		nextArr := math.Inf(1)
 		if len(s.pending) > 0 {
@@ -363,10 +377,12 @@ func (s *Simulator) Run(horizon float64) {
 		}
 		nextDone := s.peekCompletion()
 		next := math.Min(nextArr, nextDone)
-		if next > horizon {
-			// idle (or mid-transfer) until the horizon; never move the
-			// clock backwards
-			if horizon > s.now {
+		if next > horizon || math.IsInf(next, 1) {
+			// idle (or mid-transfer) until the horizon, never moving the
+			// clock backwards; an infinite horizon stops at the last event
+			if math.IsInf(horizon, 1) {
+				s.materializeAll(s.now)
+			} else if horizon > s.now {
 				s.materializeAll(horizon)
 				s.now = horizon
 			}
@@ -403,10 +419,7 @@ func (s *Simulator) Run(horizon float64) {
 		}
 		changed, oldRates := s.inc.Changed()
 		for i, f := range changed {
-			if dt := s.now - f.updT; dt > 0 {
-				f.Size -= oldRates[i] * dt
-				f.updT = s.now
-			}
+			f.advance(s.now, oldRates[i])
 			f.ver++
 			if f.Rate > 0 {
 				s.pushCompletion(compEnt{t: s.now + f.Size/f.Rate, seq: f.seq, ver: f.ver, flow: f})
@@ -418,16 +431,26 @@ func (s *Simulator) Run(horizon float64) {
 	}
 }
 
+// advance materializes f's Size at time t, given the rate it has held
+// since the last materialization. An infinite size stays infinite: a
+// long enough interval would otherwise subtract an infinite transfer
+// from it and leave NaN.
+func (f *Flow) advance(t, rate float64) {
+	if dt := t - f.updT; dt > 0 {
+		if !math.IsInf(f.Size, 1) {
+			f.Size -= rate * dt
+		}
+		f.updT = t
+	}
+}
+
 // materializeAll brings every active flow's Size up to time t (used when a
 // Run returns at the horizon, so callers observe consistent sizes).
 //
 //scda:noalloc
 func (s *Simulator) materializeAll(t float64) {
 	for _, f := range s.inc.flows {
-		if dt := t - f.updT; dt > 0 {
-			f.Size -= f.Rate * dt
-			f.updT = t
-		}
+		f.advance(t, f.Rate)
 	}
 }
 

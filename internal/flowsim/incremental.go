@@ -90,14 +90,30 @@ type dirtEnt struct {
 // unfrozen, none of its saturated links (argmin + freeze triggers) is
 // dirty, and every dirty link's current share clears the round's share by
 // replayMargin. Any other round is computed as a REAL round from current
-// link state: the most-constrained link is found by scanning live links,
-// and the freeze pass runs over only the flows of saturated links (via the
-// persistent link→flows index, merged in flow-slice order, extended
-// mid-round when a subtraction saturates another link) — executing exactly
-// the arithmetic, order, and tolerance of Solver.fill. Flows frozen by
-// real rounds dirty their paths, which is how perturbation propagates; a
-// recorded flow whose freeze is skipped or altered therefore blocks replay
-// (pointer stalls on its round) until it is re-frozen by a real round.
+// link state, executing exactly the arithmetic, order, and tolerance of
+// Solver.fill:
+//
+//   - The most-constrained link comes from a lazy min-heap over live links.
+//     It is built at the repair's first real round from the occupied links
+//     that still carry weight, so a repair that only replays builds
+//     nothing and links the replayed prefix drained never enter it. Once
+//     half its entries have drained it is rebuilt in one pass instead of
+//     popping them one sift at a time.
+//   - The freeze pass visits only the flows of saturated links, in flow
+//     order: one cursor per saturated link walks that link's pos-sorted
+//     flow list, skipping flows this repair already froze, and a min-heap
+//     of cursors keyed by position merges the lists. A subtraction that
+//     saturates another link mid-pass opens a cursor on its flows past the
+//     current position, exactly as the full scan would meet them.
+//   - Only links admitted this round (stamped in satStamp) are divided to
+//     test a candidate's path for saturation: every live link at or below
+//     the round's threshold was popped or admitted mid-pass, so an
+//     unstamped link cannot be saturated.
+//
+// Flows frozen by real rounds dirty their paths, which is how perturbation
+// propagates; a recorded flow whose freeze is skipped or altered therefore
+// blocks replay (pointer stalls on its round) until it is re-frozen by a
+// real round.
 //
 // The link→flows index and per-link weight sums are maintained
 // incrementally across events, not rebuilt per repair: an add appends to
@@ -132,17 +148,31 @@ type Incremental struct {
 	occ     []int32
 	occPos  []int32
 
+	// live-link heap, built at a repair's first real round (buildLive)
+	// and compacted once half drained (compactLive)
+	liveH   []dirtEnt // lazy min-heap over live links, by share
+	liveOK  bool      // liveH was built in this repair
+	drained int       // liveH entries whose link has drained since the build
+
 	// per-round state for real rounds
 	satStamp []uint64 // per-link: round ID when admitted to the saturated set
 	roundID  uint64
-	candH    []*Flow   // candidate min-heap by pos
-	liveH    []dirtEnt // lazy min-heap over ALL live links, by share
-	satList  []int32   // links popped into the current round's saturated set
+	curs     []cursor // cursor min-heap by the position under each cursor
+	satList  []int32  // links popped into the current round's saturated set
 
 	changed    []*Flow
 	changedOld []float64
 	oneAdd     [1]*Flow
 	oneRm      [1]*Flow
+}
+
+// cursor walks one saturated link's flow list during a real round's
+// freeze pass: idx indexes linkFl[link], and pos caches that flow's
+// position, the cursor heap's key.
+type cursor struct {
+	pos  int
+	link int32
+	idx  int32
 }
 
 // NewIncremental creates an incremental solver over fixed link capacities.
@@ -333,15 +363,30 @@ func (in *Incremental) validate(add, remove []*Flow) error {
 			rollback(i, len(remove))
 			return fmt.Errorf("incremental: flow %d already active", f.ID)
 		}
-		if len(f.Path) == 0 {
+		if err := checkFlow(f, len(in.caps)); err != nil {
 			rollback(i, len(remove))
-			return fmt.Errorf("incremental: flow %d empty path", f.ID)
-		}
-		if f.Weight <= 0 {
-			rollback(i, len(remove))
-			return fmt.Errorf("incremental: flow %d weight %v", f.ID, f.Weight)
+			return fmt.Errorf("incremental: %w", err)
 		}
 		f.pos = -1
+	}
+	return nil
+}
+
+// checkFlow rejects a flow no allocation can take: an empty path, a path
+// link outside the nLinks capacities, or a weight that is not a positive
+// finite number (a NaN share never settles, and an infinite weight makes
+// every rate on its links 0·∞).
+func checkFlow(f *Flow, nLinks int) error {
+	if len(f.Path) == 0 {
+		return fmt.Errorf("flow %d empty path", f.ID)
+	}
+	for _, l := range f.Path {
+		if l < 0 || int(l) >= nLinks {
+			return fmt.Errorf("flow %d path link %d outside the %d links", f.ID, l, nLinks)
+		}
+	}
+	if !(f.Weight > 0) || math.IsInf(f.Weight, 1) {
+		return fmt.Errorf("flow %d weight %v", f.ID, f.Weight)
 	}
 	return nil
 }
@@ -361,25 +406,21 @@ func (in *Incremental) repair() {
 
 	// Reset each occupied link's state from the maintained weight sums
 	// (bit-identical to the fresh accumulation a full solve would do —
-	// see the type comment), seed the dirty heap with event-path links,
-	// and heapify the live-link heap over every occupied link.
+	// see the type comment) and seed the dirty heap with event-path links.
+	// The live-link heap waits for the first real round.
 	in.dirt = in.dirt[:0]
-	in.liveH = in.liveH[:0]
+	in.liveOK = false
 	for _, l := range in.occ {
 		sv.stamp[l] = sv.epoch
 		sv.cap[l] = in.caps[l]
 		sv.weight[l] = in.weight0[l]
-		s := sv.cap[l] / sv.weight[l]
-		in.liveH = append(in.liveH, dirtEnt{s, l})
 		if in.mark[l] == me {
-			in.pushDirt(dirtEnt{s, l})
+			in.pushDirt(dirtEnt{sv.cap[l] / sv.weight[l], l})
 		}
-	}
-	for i := len(in.liveH)/2 - 1; i >= 0; i-- {
-		in.siftLive(i)
 	}
 
 	in.nxt.reset()
+	capv, wt := sv.cap, sv.weight
 	remaining := len(in.flows)
 	r := 0 // pointer into cur.rounds
 	for remaining > 0 {
@@ -405,6 +446,7 @@ func (in *Incremental) repair() {
 			m := in.cur.rounds[r].minShare
 			span, sat := in.cur.spans(r)
 			in.nxt.beginRound(m, sat[0])
+			drains := 0
 			for i, f := range span {
 				// a replayed freeze rewrites the rate the flow already has
 				// (same weight, same recorded share), so the comparison
@@ -417,20 +459,28 @@ func (in *Incremental) repair() {
 				f.fz = ep
 				remaining--
 				in.nxt.freeze(f, sat[i+1])
+				rate, fw := f.Rate, f.Weight
 				for _, l := range f.Path {
-					sv.cap[l] -= f.Rate
-					if sv.cap[l] < 0 {
-						sv.cap[l] = 0
+					c := capv[l] - rate
+					if c < 0 {
+						c = 0
 					}
-					sv.weight[l] -= f.Weight
+					capv[l] = c
+					w := wt[l] - fw
+					if w <= 0 && wt[l] > 0 {
+						drains++
+					}
+					wt[l] = w
 				}
 			}
+			in.drained += drains // meaningful once the live heap is built
 			r++
 			continue
 		}
 		if !in.realRound(ep, me, &remaining) {
-			// no live links left: leftover flows keep rate 0, exactly as
-			// the full solve leaves flows on unconstrained links
+			// no live link with a finite share left: leftover flows keep
+			// rate 0, exactly as the full solve leaves flows on
+			// unconstrained links
 			for _, f := range in.flows {
 				if f.fz != ep && f.Rate != 0 {
 					// NaN (an added flow) never compares equal to 0
@@ -493,23 +543,30 @@ func (in *Incremental) dirtyMin(me uint64) float64 {
 }
 
 // realRound executes one true progressive-filling round from current link
-// state: find the most-constrained live link via the lazy live-link heap,
-// then run the freeze pass in flow-slice order over the flows of
-// saturated links only — bit-identical to Solver.fill's full scan,
-// because flows off every saturated link cannot freeze and saturation
-// arising mid-round admits the affected link's later-positioned flows
-// into the pass. Flows frozen here dirty their paths. Returns false when
-// no live link remains.
+// state: take the most-constrained live link from the live-link heap
+// (building it at the repair's first real round, compacting it once half
+// drained), pop every link at the round's share into the saturated set,
+// then run the freeze pass in flow order over the saturated links' flows,
+// merged by cursor — bit-identical to Solver.fill's full scan, because
+// flows off every saturated link cannot freeze and saturation arising
+// mid-round opens a cursor on the affected link's later-positioned flows.
+// Flows frozen here dirty their paths. Returns false when no live link
+// with a finite share remains (Solver.fill stops there too).
 //
 //scda:noalloc
 func (in *Incremental) realRound(ep, me uint64, remaining *int) bool {
 	sv := in.sv
+	if !in.liveOK {
+		in.buildLive()
+	} else if 2*in.drained >= len(in.liveH) && in.drained > 0 {
+		in.compactLive()
+	}
 	minShare, argmin, ok := in.liveMin()
-	if !ok {
+	if !ok || math.IsInf(minShare, 1) {
 		return false
 	}
 	in.roundID++
-	in.candH = in.candH[:0]
+	in.curs = in.curs[:0]
 	in.satList = in.satList[:0]
 	// pop every link already at the round's share into the saturated set;
 	// survivors with capacity left are re-pushed after the freeze pass
@@ -521,19 +578,29 @@ func (in *Incremental) realRound(ep, me uint64, remaining *int) bool {
 		}
 		in.popLive()
 		in.satList = append(in.satList, l)
-		in.admitSat(l, 0)
+		in.admitSat(l, 0, ep)
 	}
+	// the per-link slices keep their length through a repair; locals spare
+	// the pass a reload through in or sv after every call
+	capv, wt, mark := sv.cap, sv.weight, in.mark
+	stamp, rid := in.satStamp, in.roundID
 	froze := false
 	lastPos := 0
-	for len(in.candH) > 0 {
-		f := in.popCand()
-		lastPos = f.pos
-		if f.fz == ep {
+	drains := 0
+	for len(in.curs) > 0 {
+		f := in.popCand(ep)
+		// a flow on two saturated links comes up once per cursor, back to
+		// back; the first visit decided it
+		if f.pos == lastPos || f.fz == ep {
 			continue
 		}
+		lastPos = f.pos
+		// every live link at or below the threshold was admitted this
+		// round (popped above or admitted mid-pass below), so only
+		// stamped links need the division
 		sat := int32(-1)
 		for _, l := range f.Path {
-			if sv.weight[l] > 0 && sv.cap[l]/sv.weight[l] <= minShare*(1+satEps) {
+			if stamp[l] == rid && wt[l] > 0 && capv[l]/wt[l] <= thresh {
 				sat = int32(l)
 				break
 			}
@@ -553,26 +620,31 @@ func (in *Incremental) realRound(ep, me uint64, remaining *int) bool {
 		f.fz = ep
 		*remaining--
 		in.nxt.freeze(f, sat)
+		rate, fw := f.Rate, f.Weight
 		for _, l := range f.Path {
-			sv.cap[l] -= f.Rate
-			if sv.cap[l] < 0 {
-				sv.cap[l] = 0
+			c := capv[l] - rate
+			if c < 0 {
+				c = 0
 			}
-			sv.weight[l] -= f.Weight
+			capv[l] = c
+			w := wt[l] - fw
+			if w <= 0 && wt[l] > 0 {
+				drains++
+			}
+			wt[l] = w
 			// the flow's freeze diverges from (or extends) the recorded
 			// history of every link it touches
-			if in.mark[l] != me {
-				in.mark[l] = me
-				if sv.weight[l] > 0 {
-					in.pushDirt(dirtEnt{sv.cap[l] / sv.weight[l], int32(l)})
+			if mark[l] != me {
+				mark[l] = me
+				if w > 0 {
+					in.pushDirt(dirtEnt{c / w, int32(l)})
 				}
 			}
 			// a subtraction can saturate another link mid-pass; its flows
 			// positioned after the current one join this round's pass,
 			// exactly as the full scan would encounter them
-			if in.satStamp[l] != in.roundID && sv.weight[l] > 0 &&
-				sv.cap[l]/sv.weight[l] <= minShare*(1+satEps) {
-				in.admitSat(int32(l), lastPos)
+			if stamp[l] != rid && w > 0 && c/w <= thresh {
+				in.admitSat(int32(l), lastPos, ep)
 			}
 		}
 	}
@@ -584,14 +656,70 @@ func (in *Incremental) realRound(ep, me uint64, remaining *int) bool {
 	for _, l := range in.satList {
 		if sv.weight[l] > 0 {
 			in.pushLive(dirtEnt{sv.cap[l] / sv.weight[l], l})
+		} else if froze {
+			// drained by this round's subtractions while out of the heap
+			drains--
 		}
 	}
+	in.drained += drains
 	return true
 }
 
+// buildLive builds the live-link heap from the occupied links that still
+// carry weight, keyed by their current shares. It runs at a repair's
+// first real round, so a repair whose rounds all replay builds nothing and
+// links the replayed prefix drained never enter.
+//
+//scda:noalloc steady state: the heap append is amortized pool growth
+func (in *Incremental) buildLive() {
+	sv := in.sv
+	h := in.liveH[:0]
+	for _, l := range in.occ {
+		if w := sv.weight[l]; w > 0 {
+			h = append(h, dirtEnt{sv.cap[l] / w, l})
+		}
+	}
+	in.heapLive(h)
+	in.liveOK = true
+}
+
+// compactLive rebuilds the live-link heap once half its entries have
+// drained (the compaction rule Simulator.pushCompletion uses): one pass
+// keeps the entries whose links still carry weight, re-keyed to their
+// current shares, instead of one sift per drained entry as it surfaces.
+// It runs between rounds, when every live link has an entry, so the
+// result is the heap buildLive would make.
+//
+//scda:noalloc
+func (in *Incremental) compactLive() {
+	sv := in.sv
+	h := in.liveH
+	n := 0
+	for _, e := range h {
+		if w := sv.weight[e.link]; w > 0 {
+			h[n] = dirtEnt{sv.cap[e.link] / w, e.link}
+			n++
+		}
+	}
+	in.heapLive(h[:n])
+}
+
+// heapLive installs h as the live-link heap, heapified, with no drained
+// entry.
+//
+//scda:noalloc
+func (in *Incremental) heapLive(h []dirtEnt) {
+	in.liveH = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		in.siftLive(i)
+	}
+	in.drained = 0
+}
+
 // liveMin peeks the live-link heap, lazily discarding drained links and
-// re-keying entries whose share moved since they were pushed, and returns
-// the current global minimum share with its link.
+// re-keying entries whose share moved since they were pushed (shares only
+// rise within a repair, so a stale key under-estimates), and returns the
+// current global minimum share with its link.
 //
 //scda:noalloc
 func (in *Incremental) liveMin() (float64, int32, bool) {
@@ -601,12 +729,13 @@ func (in *Incremental) liveMin() (float64, int32, bool) {
 		l := e.link
 		if sv.weight[l] <= 0 {
 			in.popLive()
+			in.drained--
 			continue
 		}
 		s := sv.cap[l] / sv.weight[l]
 		if s != e.share {
-			in.popLive()
-			in.pushLive(dirtEnt{s, l})
+			in.liveH[0].share = s
+			in.siftLive(0)
 			continue
 		}
 		return e.share, l, true
@@ -614,13 +743,14 @@ func (in *Incremental) liveMin() (float64, int32, bool) {
 	return 0, -1, false
 }
 
-// admitSat adds link l to the round's saturated set and its flows with
-// pos > afterPos to the candidate heap. Flows at or before afterPos were
-// already passed by this round's scan, so admitting them would freeze
-// flows the full solve's single ordered pass had already skipped.
+// admitSat adds link l to the round's saturated set and opens a cursor on
+// its first flow with pos > afterPos that this repair has not frozen.
+// Flows at or before afterPos were already passed by this round's scan,
+// so admitting them would freeze flows the full solve's single ordered
+// pass had already skipped.
 //
 //scda:noalloc
-func (in *Incremental) admitSat(l int32, afterPos int) {
+func (in *Incremental) admitSat(l int32, afterPos int, ep uint64) {
 	in.satStamp[l] = in.roundID
 	fl := in.linkFl[l]
 	i := 0
@@ -628,16 +758,59 @@ func (in *Incremental) admitSat(l int32, afterPos int) {
 		//scda:alloc-ok the sort.Search predicate does not escape; the compiler keeps it on the stack (0 B/op per the alloc guards)
 		i = sort.Search(len(fl), func(i int) bool { return fl[i].pos > afterPos })
 	}
-	for ; i < len(fl); i++ {
-		in.pushCand(fl[i])
+	for i < len(fl) && fl[i].fz == ep {
+		i++
+	}
+	if i < len(fl) {
+		in.pushCur(cursor{pos: fl[i].pos, link: l, idx: int32(i)})
 	}
 }
 
-// Candidate min-heap by flow position (binary; entries are few per round).
+// popCand returns the flow under the lowest cursor and moves that cursor
+// to the next flow of its list this repair has not frozen, dropping the
+// cursor at the list's end.
+//
+//scda:noalloc
+func (in *Incremental) popCand(ep uint64) *Flow {
+	h := in.curs
+	c := &h[0]
+	fl := in.linkFl[c.link]
+	f := fl[c.idx]
+	i := int(c.idx) + 1
+	for i < len(fl) && fl[i].fz == ep {
+		i++
+	}
+	if i < len(fl) {
+		c.idx = int32(i)
+		c.pos = fl[i].pos
+	} else {
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		in.curs = h
+	}
+	// sift the root down (binary heap by position; a round holds few
+	// cursors)
+	n := len(h)
+	for j := 0; ; {
+		best, l, r := j, 2*j+1, 2*j+2
+		if l < n && h[l].pos < h[best].pos {
+			best = l
+		}
+		if r < n && h[r].pos < h[best].pos {
+			best = r
+		}
+		if best == j {
+			break
+		}
+		h[j], h[best] = h[best], h[j]
+		j = best
+	}
+	return f
+}
 
 //scda:noalloc steady state: the heap append is amortized pool growth
-func (in *Incremental) pushCand(f *Flow) {
-	h := append(in.candH, f)
+func (in *Incremental) pushCur(c cursor) {
+	h := append(in.curs, c)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -647,34 +820,7 @@ func (in *Incremental) pushCand(f *Flow) {
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	in.candH = h
-}
-
-//scda:noalloc
-func (in *Incremental) popCand() *Flow {
-	h := in.candH
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	i := 0
-	for {
-		best, l, r := i, 2*i+1, 2*i+2
-		if l < n && h[l].pos < h[best].pos {
-			best = l
-		}
-		if r < n && h[r].pos < h[best].pos {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-	in.candH = h
-	return top
+	in.curs = h
 }
 
 // Dirty-link min-heap by pushed share.

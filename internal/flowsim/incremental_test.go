@@ -99,6 +99,97 @@ func TestIncrementalDifferentialChurn(t *testing.T) {
 	}
 }
 
+// TestIncrementalDifferentialFabric checks the repair against full solves
+// in the regime of the sim-fluid benchmark and scenarios/fluid-100k.json:
+// routed client→server paths on the 500-client / 200-server fabric and
+// ~800 resident flows under arrivals and departures, a quarter of them
+// same-instant batches. Unit weights drain links to exactly zero, so real
+// rounds find the live-link heap half drained and compact it, and
+// saturated links share many flows, most of them frozen by earlier rounds
+// — what the random-link tests, whose fractional weights leave residues,
+// seldom reach. Dyadic weights (½, 1, 2) drain exactly too, and their
+// unequal rates make the bits depend on the order in which the cursors
+// merge tied saturated links' flows.
+func TestIncrementalDifferentialFabric(t *testing.T) {
+	events := 1200
+	if testing.Short() {
+		events = 300
+	}
+	tt, err := topology.BuildThreeTier(fabricSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := topology.ComputeRouting(tt.Graph)
+	caps := make([]float64, len(tt.Graph.Links))
+	for i, l := range tt.Graph.Links {
+		caps[i] = l.Capacity
+	}
+	for _, tc := range []struct {
+		name    string
+		weights []float64
+	}{
+		{"unit-weights", []float64{1}},
+		{"dyadic-weights", []float64{0.5, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := NewIncremental(caps)
+			rng := churnRNG(0xfab)
+			var active []*Flow
+			var got []float64
+			nextID := int64(0)
+			arrive := func(add []*Flow) []*Flow {
+				src := tt.Clients[rng.intn(len(tt.Clients))]
+				dst := tt.Servers[rng.intn(len(tt.Servers))]
+				path, err := routes.Path(src, dst, uint64(nextID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				nextID++
+				w := tc.weights[rng.intn(len(tc.weights))]
+				return append(add, &Flow{ID: nextID, Path: path, Size: 1, Weight: w})
+			}
+			depart := func(rm []*Flow) []*Flow {
+				i := rng.intn(len(active))
+				rm = append(rm, active[i])
+				active[i] = active[len(active)-1]
+				active = active[:len(active)-1]
+				return rm
+			}
+			const resident = 800
+			for ev := 0; ev < events; ev++ {
+				var add, rm []*Flow
+				switch {
+				case len(active) < resident && rng.intn(3) > 0:
+					// ramp: up to 8 arrivals at one instant
+					for k := rng.intn(8); k >= 0; k-- {
+						add = arrive(add)
+					}
+				case rng.intn(4) == 0:
+					// a same-instant batch of arrivals and departures
+					for k := rng.intn(4); k >= 0; k-- {
+						add = arrive(add)
+					}
+					for k := rng.intn(4); k >= 0 && len(active) > 0; k-- {
+						rm = depart(rm)
+					}
+				case len(active) > resident || rng.intn(2) == 0:
+					rm = depart(rm)
+				default:
+					add = arrive(add)
+				}
+				if err := in.Apply(add, rm); err != nil {
+					t.Fatal(err)
+				}
+				active = append(active, add...)
+				checkAgainstFullSolve(t, in, caps, got)
+			}
+			if n := len(in.Flows()); n < resident/2 {
+				t.Fatalf("churn ended with %d resident flows; the test lost its regime", n)
+			}
+		})
+	}
+}
+
 // TestIncrementalBatchApply covers the Simulator's batch pattern:
 // simultaneous adds and removes repaired in one Apply.
 func TestIncrementalBatchApply(t *testing.T) {
@@ -281,14 +372,26 @@ func TestSolve10kAllocationFree(t *testing.T) {
 }
 
 // TestSimulatorSteadyStateAllocationFree guards the tentpole's simulator
-// requirement: a warm, Reset-reused Simulator must run a whole 1000-flow
-// workload — admissions, rate repairs, completions — without allocating.
+// requirement: a warm, Reset-reused Simulator must run a whole workload —
+// admissions, rate repairs, completions — without allocating, both the
+// 1000-flow run on the default fabric and the sim-fluid churn on the
+// 500/200 fabric, whose repairs build and compact the live-link heap.
 func TestSimulatorSteadyStateAllocationFree(t *testing.T) {
-	fb := newFluidBench(t)
-	fb.run(t) // warm pools and scratch
-	fb.run(t)
-	if allocs := testing.AllocsPerRun(3, func() { fb.run(t) }); allocs != 0 {
-		t.Fatalf("warm Simulator run allocates %v allocs/op, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		mk   func(testing.TB) *fluidBench
+	}{
+		{"fluid-1000-flows", newFluidBench},
+		{"fluid-fabric", newFabricBench},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fb := tc.mk(t)
+			fb.run(t) // warm pools and scratch
+			fb.run(t)
+			if allocs := testing.AllocsPerRun(3, func() { fb.run(t) }); allocs != 0 {
+				t.Fatalf("warm Simulator run allocates %v allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,9 @@
 #
 # The micro-benchmarks (BenchmarkEventLoop, BenchmarkMaxMinRates,
 # BenchmarkPacketForwarding, BenchmarkFluid1000Flows) measure the three hot
-# layers in isolation; BenchmarkChurn tracks the incremental max-min
+# layers in isolation; BenchmarkFluidFabric is a whole fluid run in the
+# sim-fluid regime (~900 flows of seeded churn on the 500-client /
+# 200-server fabric); BenchmarkChurn tracks the incremental max-min
 # solver's per-event repair against the full re-solve baseline at 10k
 # flows (the "incremental" rows must stay well under the "full" row) and
 # its scaling at 100k; BenchmarkServiceSubmitCached is the scda-serve
@@ -36,7 +38,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkComputeRouting|BenchmarkLintSelf' \
+    -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkFluidFabric|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkComputeRouting|BenchmarkLintSelf' \
     -benchmem ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/topology ./internal/lint | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkAllFiguresSerial' -benchtime=1x -benchmem . | tee -a "$tmp"
 
