@@ -228,7 +228,7 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 // every attempt (byte slices, not readers, so replays are safe). The
 // caller owns closing nothing: the full response body is read and
 // returned.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte) ([]byte, http.Header, error) {
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte) ([]byte, error) {
 	suffix := path
 	if len(query) > 0 {
 		suffix += "?" + query.Encode()
@@ -243,10 +243,10 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 				wait = ra
 			}
 			if spent+wait > c.policy.Budget {
-				return nil, nil, fmt.Errorf("retry budget %s exhausted after %d attempts: %w", c.policy.Budget, attempt, lastErr)
+				return nil, fmt.Errorf("retry budget %s exhausted after %d attempts: %w", c.policy.Budget, attempt, lastErr)
 			}
 			if err := c.sleep(ctx, wait); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			spent += wait
 			if delay *= 2; delay > c.policy.MaxDelay {
@@ -259,14 +259,14 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.endpoint()+suffix, rd)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		resp, err := c.http.Do(req)
 		if err != nil {
 			// Transport errors (connection refused or reset — a restarting
 			// or chaos-dropped server) are retryable by nature.
 			if ctx.Err() != nil {
-				return nil, nil, ctx.Err()
+				return nil, ctx.Err()
 			}
 			lastErr = err
 			c.rotate()
@@ -280,16 +280,16 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			continue
 		}
 		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			return b, resp.Header, nil
+			return b, nil
 		}
 		apiErr := &APIError{Code: resp.StatusCode, Message: errorMessage(b), RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 		if !apiErr.Retryable() {
-			return nil, nil, apiErr
+			return nil, apiErr
 		}
 		lastErr = apiErr
 		c.rotate()
 	}
-	return nil, nil, fmt.Errorf("giving up after %d attempts: %w", c.policy.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("giving up after %d attempts: %w", c.policy.MaxAttempts, lastErr)
 }
 
 // retryAfterOf extracts a server Retry-After hint from a retryable error.
@@ -355,61 +355,32 @@ func (o SubmitOpts) query() url.Values {
 	return q
 }
 
-// Submit posts one scenario spec (raw JSON bytes) to /v1/jobs, retrying
-// through shed load, and returns the job status.
-func (c *Client) Submit(ctx context.Context, spec []byte, opts SubmitOpts) (Status, error) {
-	b, _, err := c.do(ctx, http.MethodPost, "/v1/jobs", opts.query(), spec)
+// call runs one request through do and decodes the JSON answer; what
+// names the document in a decoding error.
+func call[T any](ctx context.Context, c *Client, method, path string, query url.Values, body []byte, what string) (T, error) {
+	var v, zero T
+	b, err := c.do(ctx, method, path, query, body)
 	if err != nil {
-		return Status{}, err
+		return zero, err
 	}
-	var st Status
-	if err := json.Unmarshal(b, &st); err != nil {
-		return Status{}, fmt.Errorf("decoding job status: %w", err)
+	if err := json.Unmarshal(b, &v); err != nil {
+		return zero, fmt.Errorf("decoding %s: %w", what, err)
 	}
-	return st, nil
+	return v, nil
 }
 
-// Job fetches one job's status.
-func (c *Client) Job(ctx context.Context, id string) (Status, error) {
-	b, _, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, nil)
-	if err != nil {
-		return Status{}, err
-	}
-	var st Status
-	if err := json.Unmarshal(b, &st); err != nil {
-		return Status{}, fmt.Errorf("decoding job status: %w", err)
-	}
-	return st, nil
-}
-
-// Jobs lists every job the service remembers, in submission order.
-func (c *Client) Jobs(ctx context.Context) ([]Status, error) {
-	b, _, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var sts []Status
-	if err := json.Unmarshal(b, &sts); err != nil {
-		return nil, fmt.Errorf("decoding job list: %w", err)
-	}
-	return sts, nil
-}
-
-// WaitJob polls the job until it reaches a terminal state, backing off
-// between polls (jittered BaseDelay..MaxDelay — status polls are cheap
-// but not free).
-func (c *Client) WaitJob(ctx context.Context, id string) (Status, error) {
+// poll fetches a status until it is terminal, backing off between polls
+// (jittered BaseDelay..MaxDelay — status polls are cheap but not free).
+func poll[T interface{ Terminal() bool }](ctx context.Context, c *Client, fetch func() (T, error)) (T, error) {
 	delay := c.policy.BaseDelay
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return Status{}, err
-		}
-		if st.Terminal() {
-			return st, nil
+		st, err := fetch()
+		if err != nil || st.Terminal() {
+			return st, err
 		}
 		if err := c.sleep(ctx, c.jitter(delay)); err != nil {
-			return Status{}, err
+			var zero T
+			return zero, err
 		}
 		if delay *= 2; delay > c.policy.MaxDelay {
 			delay = c.policy.MaxDelay
@@ -417,28 +388,46 @@ func (c *Client) WaitJob(ctx context.Context, id string) (Status, error) {
 	}
 }
 
-// Result fetches a done job's result: the JSON document by default, or
-// one CSV artifact with csv set ("summary", "throughput", ...).
-func (c *Client) Result(ctx context.Context, id, csv string) ([]byte, error) {
+// csvQuery renders a result fetch's optional ?csv= selector.
+func csvQuery(csv string) url.Values {
 	q := url.Values{}
 	if csv != "" {
 		q.Set("csv", csv)
 	}
-	b, _, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", q, nil)
-	return b, err
+	return q
+}
+
+// Submit posts one scenario spec (raw JSON bytes) to /v1/jobs, retrying
+// through shed load, and returns the job status.
+func (c *Client) Submit(ctx context.Context, spec []byte, opts SubmitOpts) (Status, error) {
+	return call[Status](ctx, c, http.MethodPost, "/v1/jobs", opts.query(), spec, "job status")
+}
+
+// Job fetches one job's status.
+func (c *Client) Job(ctx context.Context, id string) (Status, error) {
+	return call[Status](ctx, c, http.MethodGet, "/v1/jobs/"+id, nil, nil, "job status")
+}
+
+// Jobs lists every job the service remembers, in submission order.
+func (c *Client) Jobs(ctx context.Context) ([]Status, error) {
+	return call[[]Status](ctx, c, http.MethodGet, "/v1/jobs", nil, nil, "job list")
+}
+
+// WaitJob polls the job until it reaches a terminal state, backing off
+// between polls.
+func (c *Client) WaitJob(ctx context.Context, id string) (Status, error) {
+	return poll(ctx, c, func() (Status, error) { return c.Job(ctx, id) })
+}
+
+// Result fetches a done job's result: the JSON document by default, or
+// one CSV artifact with csv set ("summary", "throughput", ...).
+func (c *Client) Result(ctx context.Context, id, csv string) ([]byte, error) {
+	return c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", csvQuery(csv), nil)
 }
 
 // Cancel DELETEs the job; the returned status reflects the cancellation.
 func (c *Client) Cancel(ctx context.Context, id string) (Status, error) {
-	b, _, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil)
-	if err != nil {
-		return Status{}, err
-	}
-	var st Status
-	if err := json.Unmarshal(b, &st); err != nil {
-		return Status{}, fmt.Errorf("decoding job status: %w", err)
-	}
-	return st, nil
+	return call[Status](ctx, c, http.MethodDelete, "/v1/jobs/"+id, nil, nil, "job status")
 }
 
 // Ready probes /readyz, reporting whether the service is accepting
@@ -461,6 +450,6 @@ func (c *Client) Ready(ctx context.Context) bool {
 // Metrics fetches the Prometheus text exposition — the chaos harness
 // reads counters like scda_job_panics_total through this.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	b, _, err := c.do(ctx, http.MethodGet, "/metrics", nil, nil)
+	b, err := c.do(ctx, http.MethodGet, "/metrics", nil, nil)
 	return string(b), err
 }

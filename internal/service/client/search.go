@@ -2,11 +2,8 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 )
 
 // SearchVariant is the client-side view of one evaluated search variant.
@@ -75,104 +72,42 @@ type SearchOpts struct {
 
 // query renders the options.
 func (o SearchOpts) query() url.Values {
-	q := url.Values{}
-	if o.Reps > 0 {
-		q.Set("reps", strconv.Itoa(o.Reps))
-	}
-	if o.Priority != 0 {
-		q.Set("priority", strconv.Itoa(o.Priority))
-	}
-	if o.Wait {
-		q.Set("wait", "true")
-	}
-	return q
+	return SubmitOpts{Reps: o.Reps, Priority: o.Priority, Wait: o.Wait}.query()
 }
 
 // SubmitSearch posts one scenario spec with a search block (raw JSON
 // bytes) to /v1/searches, retrying through shed load, and returns the
 // search status.
 func (c *Client) SubmitSearch(ctx context.Context, spec []byte, opts SearchOpts) (SearchStatus, error) {
-	b, _, err := c.do(ctx, http.MethodPost, "/v1/searches", opts.query(), spec)
-	if err != nil {
-		return SearchStatus{}, err
-	}
-	var st SearchStatus
-	if err := json.Unmarshal(b, &st); err != nil {
-		return SearchStatus{}, fmt.Errorf("decoding search status: %w", err)
-	}
-	return st, nil
+	return call[SearchStatus](ctx, c, http.MethodPost, "/v1/searches", opts.query(), spec, "search status")
 }
 
 // Search fetches one search's status.
 func (c *Client) Search(ctx context.Context, id string) (SearchStatus, error) {
-	b, _, err := c.do(ctx, http.MethodGet, "/v1/searches/"+id, nil, nil)
-	if err != nil {
-		return SearchStatus{}, err
-	}
-	var st SearchStatus
-	if err := json.Unmarshal(b, &st); err != nil {
-		return SearchStatus{}, fmt.Errorf("decoding search status: %w", err)
-	}
-	return st, nil
+	return call[SearchStatus](ctx, c, http.MethodGet, "/v1/searches/"+id, nil, nil, "search status")
 }
 
 // Searches lists every search the service remembers, in submission
 // order.
 func (c *Client) Searches(ctx context.Context) ([]SearchStatus, error) {
-	b, _, err := c.do(ctx, http.MethodGet, "/v1/searches", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var sts []SearchStatus
-	if err := json.Unmarshal(b, &sts); err != nil {
-		return nil, fmt.Errorf("decoding search list: %w", err)
-	}
-	return sts, nil
+	return call[[]SearchStatus](ctx, c, http.MethodGet, "/v1/searches", nil, nil, "search list")
 }
 
 // WaitSearch polls the search until it reaches a terminal state, backing
 // off between polls like WaitJob.
 func (c *Client) WaitSearch(ctx context.Context, id string) (SearchStatus, error) {
-	delay := c.policy.BaseDelay
-	for {
-		st, err := c.Search(ctx, id)
-		if err != nil {
-			return SearchStatus{}, err
-		}
-		if st.Terminal() {
-			return st, nil
-		}
-		if err := c.sleep(ctx, c.jitter(delay)); err != nil {
-			return SearchStatus{}, err
-		}
-		if delay *= 2; delay > c.policy.MaxDelay {
-			delay = c.policy.MaxDelay
-		}
-	}
+	return poll(ctx, c, func() (SearchStatus, error) { return c.Search(ctx, id) })
 }
 
 // SearchResult fetches a done search's result: the deterministic JSON
 // document by default, or the round-by-round trajectory CSV with csv set
 // to "trajectory".
 func (c *Client) SearchResult(ctx context.Context, id, csv string) ([]byte, error) {
-	q := url.Values{}
-	if csv != "" {
-		q.Set("csv", csv)
-	}
-	b, _, err := c.do(ctx, http.MethodGet, "/v1/searches/"+id+"/result", q, nil)
-	return b, err
+	return c.do(ctx, http.MethodGet, "/v1/searches/"+id+"/result", csvQuery(csv), nil)
 }
 
 // CancelSearch DELETEs the search; the cancel fans out to the in-flight
 // round's jobs. The returned status reflects the cancellation.
 func (c *Client) CancelSearch(ctx context.Context, id string) (SearchStatus, error) {
-	b, _, err := c.do(ctx, http.MethodDelete, "/v1/searches/"+id, nil, nil)
-	if err != nil {
-		return SearchStatus{}, err
-	}
-	var st SearchStatus
-	if err := json.Unmarshal(b, &st); err != nil {
-		return SearchStatus{}, fmt.Errorf("decoding search status: %w", err)
-	}
-	return st, nil
+	return call[SearchStatus](ctx, c, http.MethodDelete, "/v1/searches/"+id, nil, nil, "search status")
 }

@@ -47,9 +47,7 @@ type JobGroup struct {
 	doneN     int
 	failedN   int
 	cancelled int
-	events    []GroupEvent
-	changed   chan struct{} // closed and replaced on every event
-	done      chan struct{} // closed once, on reaching a terminal state
+	log       eventLog[GroupEvent]
 }
 
 // GroupEvent is one NDJSON record on a group's event stream: the group's
@@ -114,8 +112,7 @@ func newJobGroup(id, name string, names []string, reps, priority int, met *metri
 		names:    names,
 		met:      met,
 		state:    StateQueued,
-		changed:  make(chan struct{}),
-		done:     make(chan struct{}),
+		log:      newEventLog[GroupEvent](),
 	}
 	g.emitLocked("")
 	return g
@@ -201,8 +198,8 @@ func (g *JobGroup) maybeFinishLocked() {
 // emitLocked appends a group event reflecting the current tallies and
 // wakes stream watchers. Caller holds g.mu.
 func (g *JobGroup) emitLocked(variant string) {
-	g.events = append(g.events, GroupEvent{
-		Seq:       len(g.events) + 1,
+	g.log.emit(GroupEvent{
+		Seq:       g.log.seq(),
 		State:     g.state,
 		Variant:   variant,
 		Done:      g.doneN,
@@ -210,28 +207,18 @@ func (g *JobGroup) emitLocked(variant string) {
 		Cancelled: g.cancelled,
 		Total:     len(g.names),
 		Error:     g.err,
-	})
-	close(g.changed)
-	g.changed = make(chan struct{})
-	if g.state.Terminal() {
-		close(g.done)
-	}
+	}, g.state.Terminal())
 }
 
 // Done returns a channel closed when every variant has settled and the
 // group reached its terminal state.
-func (g *JobGroup) Done() <-chan struct{} { return g.done }
+func (g *JobGroup) Done() <-chan struct{} { return g.log.done }
 
-// terminal reports whether the group has reached a terminal state.
-func (g *JobGroup) terminal() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.state.Terminal()
+// wire returns the group's ID, status document and state for the routes.
+func (g *JobGroup) wire() (string, any, State) {
+	st := g.Status()
+	return g.ID, st, st.State
 }
-
-// variantCount reports the group's total variant count (immutable), the
-// unit the group-ledger bound is measured in.
-func (g *JobGroup) variantCount() int { return len(g.names) }
 
 // cancelPending reports whether a cancel has been requested; the
 // submission loop consults it between child submissions.
@@ -286,16 +273,11 @@ func (g *JobGroup) Status() GroupStatus {
 	return st
 }
 
-// eventsSince returns the group events after fromSeq, the channel that
-// signals the next change, and whether the group has terminated — the same
-// polling primitive Job.eventsSince provides for the job stream.
-func (g *JobGroup) eventsSince(fromSeq int) (evs []GroupEvent, changed <-chan struct{}, terminal bool) {
+// eventsSince is eventLog.since under the group's lock.
+func (g *JobGroup) eventsSince(seen int) ([]GroupEvent, <-chan struct{}, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if fromSeq < len(g.events) {
-		evs = append(evs, g.events[fromSeq:]...)
-	}
-	return evs, g.changed, g.state.Terminal()
+	return g.log.since(seen)
 }
 
 // doneJobs returns the children in expansion order when — and only when —

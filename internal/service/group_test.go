@@ -538,7 +538,7 @@ func TestCloseRaceLosesNoJobs(t *testing.T) {
 			if j == nil {
 				t.Fatalf("round %d: job %d missing", round, i)
 			}
-			if !j.terminal() {
+			if !j.Status().State.Terminal() {
 				t.Fatalf("round %d: job %s not terminal after Close", round, j.ID)
 			}
 			if _, ok := svc.Job(j.ID); !ok {
@@ -546,4 +546,62 @@ func TestCloseRaceLosesNoJobs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzGroupBody feeds hostile group bodies to parseGroupBody. It must
+// never panic; every variant it accepts must be sweep-free and valid; and
+// an accepted single spec object x must mean the same group as the
+// one-element array [x] — the same name and the same variant hashes, in
+// order. Seeds are the shipped scenarios and their one-element arrays.
+func FuzzGroupBody(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no shipped scenarios: %v", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add([]byte("[" + string(b) + "]"))
+	}
+	hashes := func(t *testing.T, variants []*scenario.Spec) []string {
+		t.Helper()
+		out := make([]string, len(variants))
+		for i, v := range variants {
+			if v.Sweep != nil {
+				t.Fatalf("variant %s still carries a sweep", v.Name)
+			}
+			if err := v.Validate(); err != nil {
+				t.Fatalf("accepted variant %s does not validate: %v", v.Name, err)
+			}
+			h, err := v.Hash()
+			if err != nil {
+				t.Fatalf("accepted variant %s does not hash: %v", v.Name, err)
+			}
+			out[i] = h
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		name, variants, err := parseGroupBody(body)
+		if err != nil {
+			return
+		}
+		hs := hashes(t, variants)
+		if trimmed := bytes.TrimLeft(body, " \t\r\n"); trimmed[0] == '[' {
+			return
+		}
+		wname, wvariants, err := parseGroupBody([]byte("[" + string(body) + "]"))
+		if err != nil {
+			t.Fatalf("object accepted but its one-element array rejected: %v", err)
+		}
+		if wname != name {
+			t.Fatalf("array names the group %q, the object %q", wname, name)
+		}
+		if whs := hashes(t, wvariants); strings.Join(whs, " ") != strings.Join(hs, " ") {
+			t.Fatalf("array variant hashes %v, object %v", whs, hs)
+		}
+	})
 }

@@ -88,12 +88,25 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/jobs", s.handleJobs)
-	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/v1/groups", s.handleGroups)
-	mux.HandleFunc("/v1/groups/", s.handleGroup)
-	mux.HandleFunc("/v1/searches", s.handleSearches)
-	mux.HandleFunc("/v1/searches/", s.handleSearch)
+	jobs := &route[*Job, Event]{s: s, path: "/v1/jobs", noun: "job", resultNoun: "a result",
+		accept: s.acceptJob, list: func() any { return s.Jobs() }, find: s.Job,
+		cancel: s.cancelJob, result: s.handleResult}
+	if s.ring != nil {
+		// Fleet-internal bulk transfer; not part of the single-node API.
+		jobs.artifacts = s.handleArtifacts
+	}
+	groups := &route[*JobGroup, GroupEvent]{s: s, path: "/v1/groups", noun: "group", resultNoun: "a group result",
+		accept: s.acceptGroup, list: func() any { return s.Groups() }, find: s.Group,
+		cancel: s.cancelGroup, result: s.handleGroupResult}
+	searches := &route[*SearchJob, SearchEvent]{s: s, path: "/v1/searches", noun: "search", resultNoun: "a search result",
+		accept: s.acceptSearch, list: func() any { return s.Searches() }, find: s.Search,
+		cancel: s.cancelSearch, result: s.handleSearchResult}
+	mux.Handle("/v1/jobs", jobs)
+	mux.Handle("/v1/jobs/", jobs)
+	mux.Handle("/v1/groups", groups)
+	mux.Handle("/v1/groups/", groups)
+	mux.Handle("/v1/searches", searches)
+	mux.Handle("/v1/searches/", searches)
 	if s.chaos == nil {
 		return mux
 	}
@@ -111,6 +124,125 @@ func (s *Service) Handler() http.Handler {
 		}
 		mux.ServeHTTP(w, r)
 	})
+}
+
+// resource is what a route needs of a job, group or search beyond the
+// ledger's settler: its event stream and its wire view.
+type resource[E any] interface {
+	settler
+	eventsSince(seen int) ([]E, <-chan struct{}, bool)
+	wire() (id string, status any, state State)
+}
+
+// route serves one resource kind's API subtree: the collection at path
+// (POST submits, GET lists) and /{id}[/result|/events|/artifacts] below
+// it, with the kind's name in every error envelope. In coordinator mode
+// an ID minted by another peer is proxied to it. Handler builds one route
+// per kind, once, since result fetches — the hot read path — go through
+// it.
+type route[T resource[E], E any] struct {
+	s          *Service
+	path       string // the collection, e.g. "/v1/jobs"
+	noun       string // the kind in error messages, e.g. "job"
+	resultNoun string // what a 405 on /result calls it
+
+	accept    func(http.ResponseWriter, *http.Request) (T, bool) // false: answered
+	list      func() any
+	find      func(id string) (T, bool)
+	cancel    func(T) bool // false once terminal
+	result    func(http.ResponseWriter, *http.Request, T)
+	artifacts func(http.ResponseWriter, T) // nil: no /artifacts
+}
+
+// ServeHTTP routes one request under rt.path.
+func (rt *route[T, E]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rest := strings.TrimPrefix(r.URL.Path, rt.path)
+	if rest == "" {
+		switch r.Method {
+		case http.MethodPost:
+			if v, ok := rt.accept(w, r); ok {
+				rt.respond(w, r, v)
+			}
+		case http.MethodGet:
+			writeJSON(w, http.StatusOK, rt.list())
+		default:
+			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, rt.path)
+		}
+		return
+	}
+	id, sub, _ := strings.Cut(rest[1:], "/")
+	if peer, remote := rt.s.routeRemote(id); remote {
+		rt.s.proxyToPeer(w, r, peer)
+		return
+	}
+	v, ok := rt.find(id)
+	if !ok {
+		httpError(w, http.StatusNotFound, "no %s %q", rt.noun, id)
+		return
+	}
+	switch {
+	case sub == "" && r.Method == http.MethodGet:
+		_, st, _ := v.wire()
+		writeJSON(w, http.StatusOK, st)
+	case sub == "" && r.Method == http.MethodDelete:
+		cancelled := rt.cancel(v)
+		_, st, state := v.wire()
+		if !cancelled {
+			httpError(w, http.StatusConflict, "%s %s already %s", rt.noun, id, state)
+			return
+		}
+		writeJSON(w, http.StatusOK, st)
+	case sub == "":
+		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on a %s", r.Method, rt.noun)
+	case sub == "result":
+		if allowGet(w, r, rt.resultNoun) {
+			rt.result(w, r, v)
+		}
+	case sub == "events":
+		if allowGet(w, r, "an event stream") {
+			streamLines(w, r, rt.s.cfg.HeartbeatInterval, rt.s.chaos, v.eventsSince)
+		}
+	case sub == "artifacts" && rt.artifacts != nil:
+		if allowGet(w, r, "artifacts") {
+			rt.artifacts(w, v)
+		}
+	default:
+		httpError(w, http.StatusNotFound, "no resource %q under %s %s", sub, rt.noun, id)
+	}
+}
+
+// respond answers an accepted submission: after an optional ?wait=true
+// block until it settles, its status with a Location header — 201 for a
+// fresh resource, 200 once terminal.
+func (rt *route[T, E]) respond(w http.ResponseWriter, r *http.Request, v T) {
+	if r.URL.Query().Get("wait") == "true" {
+		select {
+		case <-v.Done():
+			// The wait may have outlived the server's WriteTimeout; push
+			// the connection's write deadline out for the response.
+			http.NewResponseController(w).SetWriteDeadline(time.Now().Add(streamWriteSlack))
+		case <-r.Context().Done():
+			id, _, _ := v.wire()
+			httpError(w, http.StatusRequestTimeout, "client went away while waiting for %s", id)
+			return
+		}
+	}
+	id, st, state := v.wire()
+	w.Header().Set("Location", rt.path+"/"+id)
+	code := http.StatusCreated
+	if state.Terminal() {
+		code = http.StatusOK
+	}
+	writeJSON(w, code, st)
+}
+
+// allowGet answers 405 unless r is a GET; what names the resource.
+func allowGet(w http.ResponseWriter, r *http.Request, what string) bool {
+	if r.Method != http.MethodGet {
+		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, what)
+		return false
+	}
+	return true
 }
 
 // maxSpecBytes bounds a submitted spec body (1 MiB is orders of magnitude
@@ -170,26 +302,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.writeTo(w, s.pool.Workers(), s.cfg.JobRunners, s.CacheLen(), diskEntries, diskBytes, s.PeerHealth())
 }
 
-// handleJobs serves the collection: POST submits, GET lists.
-func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		if s.ring != nil {
-			s.handleSubmitRing(w, r)
-			return
-		}
-		s.handleSubmit(w, r)
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.Jobs())
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on /v1/jobs", r.Method)
-	}
-}
-
-// submitParams parses and bounds the query knobs shared by the job and
-// group submission endpoints. Before PR 5 negative or absurd values flowed
-// straight through strconv.Atoi into Submit — a negative ?reps silently
-// became the server default, and any priority magnitude was accepted —
+// submitParams parses and bounds the query knobs shared by the job, group
+// and search submission endpoints. Unchecked, negative or absurd values
+// would flow straight through strconv.Atoi into Submit — a negative ?reps
+// silently becoming the server default, any priority magnitude accepted —
 // so validation lives here at the HTTP edge, keeping the programmatic
 // Submit's "<= 0 means default" contract intact for in-process callers.
 // ok is false when the response has already been written.
@@ -246,124 +362,72 @@ func deadlineParam(s string) (time.Time, error) {
 	return t, nil
 }
 
-// shed answers a submission rejected by admission control: 429 with a
-// Retry-After header in whole seconds (the header's unit), the contract
-// the client package's backoff honors.
-func (s *Service) shed(w http.ResponseWriter, retryAfter time.Duration) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
-	httpError(w, http.StatusTooManyRequests,
-		"overloaded: estimated queue wait exceeds the %s latency SLO; retry after %s", s.cfg.SLO, retryAfter)
-}
-
-// handleSubmit parses the spec body and query knobs, submits, and answers
-// with the job status (201 for a fresh job, 200 when served from cache or
-// after ?wait=true).
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	reps, priority, deadline, ok := s.submitParams(w, r)
+// admit is the HTTP edge's admission gate for a submission of n jobs at
+// the given priority. A shed submission is answered 429 with a
+// Retry-After header in whole seconds (the header's unit, the contract
+// the client package's backoff honors), and admit returns false.
+// Programmatic Submit/SubmitGroup bypass this deliberately — shedding is
+// a traffic-edge policy, not a library constraint.
+func (s *Service) admit(w http.ResponseWriter, priority, n int) bool {
+	retryAfter, ok := s.adm.decide(s.queue.DepthAtOrAbove(priority), n)
 	if !ok {
-		return
+		s.met.shedTotal.Add(1)
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+		httpError(w, http.StatusTooManyRequests,
+			"overloaded: estimated queue wait exceeds the %s latency SLO; retry after %s", s.cfg.SLO, retryAfter)
 	}
-	// Admission before the body is even read: shedding exists to keep an
-	// overloaded server cheap, so the rejection path must not pay for
-	// parsing and hashing a spec it will refuse anyway.
-	if retryAfter, ok := s.admitHTTP(priority, 1); !ok {
-		s.shed(w, retryAfter)
-		return
-	}
-	spec, err := scenario.Parse(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "spec body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.finishSubmit(w, r, spec, reps, priority, deadline)
+	return ok
 }
 
-// finishSubmit is the back half of a local job submission — submit,
-// optional ?wait=true block, status response — shared by the single-node
-// edge and every coordinator-mode arm that executes locally (ownership,
-// degraded fallback, forwarded arrivals).
-func (s *Service) finishSubmit(w http.ResponseWriter, r *http.Request, spec *scenario.Spec, reps, priority int, deadline time.Time) {
+// readBody reads a submission body of at most limit bytes: an oversized
+// body gets the honest 413, not a spec-syntax 400. ok is false once the
+// error has been answered; what names the body in the 413.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		return body, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, tooBig.Limit)
+	} else {
+		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+	}
+	return nil, false
+}
+
+// acceptJob parses and submits a job spec. Single-node, admission runs
+// before the body is even read: shedding exists to keep an overloaded
+// server cheap, so the rejection path must not pay for parsing and hashing
+// a spec it will refuse anyway. In coordinator mode the spec hash is the
+// route, so routeSubmit admits after the parse. A sweep or search spec is
+// rejected before it is routed anywhere.
+func (s *Service) acceptJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	reps, priority, deadline, ok := s.submitParams(w, r)
+	if !ok || (s.ring == nil && !s.admit(w, priority, 1)) {
+		return nil, false
+	}
+	body, ok := readBody(w, r, maxSpecBytes, "spec")
+	if !ok {
+		return nil, false
+	}
+	spec, err := scenario.Parse(bytes.NewReader(body))
+	if err == nil {
+		err = concrete(spec)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return nil, false
+	}
+	if s.ring != nil && !s.routeSubmit(w, r, spec, body, priority) {
+		return nil, false
+	}
 	j, err := s.SubmitWithDeadline(spec, reps, priority, deadline)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
-	if r.URL.Query().Get("wait") == "true" {
-		select {
-		case <-j.Done():
-			// The wait may have outlived the server's WriteTimeout; push
-			// the connection's write deadline out for the response.
-			http.NewResponseController(w).SetWriteDeadline(time.Now().Add(streamWriteSlack))
-		case <-r.Context().Done():
-			httpError(w, http.StatusRequestTimeout, "client went away while waiting for %s", j.ID)
-			return
-		}
-	}
-	st := j.Status()
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
-	code := http.StatusCreated
-	if st.State.Terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-// handleJob routes /v1/jobs/{id}[/result|/events|/artifacts]. In
-// coordinator mode an ID minted by another peer is proxied to it.
-func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if peer, remote := s.routeRemote(id); remote {
-		s.proxyToPeer(w, r, peer)
-		return
-	}
-	j, ok := s.Job(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no job %q", id)
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			writeJSON(w, http.StatusOK, j.Status())
-		case http.MethodDelete:
-			s.handleCancel(w, j)
-		default:
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on a job", r.Method)
-		}
-	case "result":
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on a result", r.Method)
-			return
-		}
-		s.handleResult(w, r, j)
-	case "events":
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on an event stream", r.Method)
-			return
-		}
-		s.handleEvents(w, r, j)
-	case "artifacts":
-		if s.ring == nil {
-			// Fleet-internal bulk transfer; not part of the single-node
-			// API surface.
-			httpError(w, http.StatusNotFound, "no resource %q under job %s", sub, id)
-			return
-		}
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on artifacts", r.Method)
-			return
-		}
-		s.handleArtifacts(w, j)
-	default:
-		httpError(w, http.StatusNotFound, "no resource %q under job %s", sub, id)
-	}
+	return j, true
 }
 
 // handleArtifacts serves a done job's complete artifact set as a JSON
@@ -376,16 +440,6 @@ func (s *Service) handleArtifacts(w http.ResponseWriter, j *Job) {
 		return
 	}
 	writeJSON(w, http.StatusOK, art.files)
-}
-
-// handleCancel cancels a job over the API.
-func (s *Service) handleCancel(w http.ResponseWriter, j *Job) {
-	cancelled, _ := s.Cancel(j.ID)
-	if !cancelled {
-		httpError(w, http.StatusConflict, "job %s already %s", j.ID, j.Status().State)
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Status())
 }
 
 // handleResult serves the completed result document or one of its CSVs.
@@ -410,15 +464,6 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request, j *Job) {
 	w.Write(b)
 }
 
-// handleEvents streams the job's events as NDJSON: a full replay first
-// (cheap — event logs are short and bounded by the replicate count), then
-// live events until the job reaches a terminal state or the client
-// disconnects. Each line is one Event; flushed per line so curl shows
-// progress as it happens.
-func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request, j *Job) {
-	s.streamNDJSON(w, r, j.eventsSince)
-}
-
 // heartbeatLine is the NDJSON keepalive record emitted on live streams
 // after HeartbeatInterval without an event, so intermediaries and clients
 // can tell a slow job from a dead connection. Heartbeats fire only while
@@ -439,20 +484,12 @@ type heartbeatLine struct {
 // heartbeats, which keep the deadline moving.
 const streamWriteSlack = time.Minute
 
-// streamNDJSON drives one NDJSON event stream — replay everything emitted
+// streamLines drives one NDJSON event stream — replay everything emitted
 // so far, then live until the source terminates or the client disconnects
-// — shared by the job and group event endpoints. since returns the events
-// after the first seen ones, the channel signalling the next change, and
-// whether the source reached a terminal state.
-//
-// Methods cannot be generic, so the Service-dependent knobs (heartbeat
-// interval, chaos injection) ride in on s and the event type on since.
-func (s *Service) streamNDJSON(w http.ResponseWriter, r *http.Request, since func(seen int) ([]Event, <-chan struct{}, bool)) {
-	streamLines(w, r, s.cfg.HeartbeatInterval, s.chaos, since)
-}
-
-// streamLines is streamNDJSON's generic engine, shared with the group
-// stream's event type.
+// — for every resource kind. since returns the events after the first seen
+// ones, the channel signalling the next change, and whether the source
+// reached a terminal state. Each line is one event, flushed per write
+// burst so curl shows progress as it happens.
 func streamLines[E any](w http.ResponseWriter, r *http.Request, hb time.Duration, inj *chaos.Injector, since func(seen int) ([]E, <-chan struct{}, bool)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
@@ -521,71 +558,35 @@ func streamLines[E any](w http.ResponseWriter, r *http.Request, hb time.Duration
 	}
 }
 
-// handleGroups serves the group collection: POST submits, GET lists.
-func (s *Service) handleGroups(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handleGroupSubmit(w, r)
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.Groups())
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on /v1/groups", r.Method)
-	}
-}
-
-// handleGroupSubmit parses the group body — one spec object (with or
-// without a sweep block) or a JSON array of specs, each strictly parsed
-// and expanded — submits the flattened variants as one group, and answers
-// with the group status (201 for a fresh group, 200 once terminal).
-func (s *Service) handleGroupSubmit(w http.ResponseWriter, r *http.Request) {
+// acceptGroup parses the group body — one spec object (with or without a
+// sweep block) or a JSON array of specs, each strictly parsed and
+// expanded — and submits the flattened variants as one group.
+func (s *Service) acceptGroup(w http.ResponseWriter, r *http.Request) (*JobGroup, bool) {
 	reps, priority, deadline, ok := s.submitParams(w, r)
 	if !ok {
-		return
+		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxGroupBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "group body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
+	body, ok := readBody(w, r, maxGroupBytes, "group")
+	if !ok {
+		return nil, false
 	}
 	name, variants, err := parseGroupBody(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
 	// Group admission runs after expansion, unlike the single-job fast
 	// path: the load a group carries is its full variant count, so the
 	// body must be parsed to know what to charge against the SLO.
-	if retryAfter, ok := s.admitHTTP(priority, len(variants)); !ok {
-		s.shed(w, retryAfter)
-		return
+	if !s.admit(w, priority, len(variants)) {
+		return nil, false
 	}
 	g, err := s.SubmitGroupWithDeadline(name, variants, reps, priority, deadline)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
-	if r.URL.Query().Get("wait") == "true" {
-		select {
-		case <-g.Done():
-			// Same WriteTimeout extension as the single-job wait path.
-			http.NewResponseController(w).SetWriteDeadline(time.Now().Add(streamWriteSlack))
-		case <-r.Context().Done():
-			httpError(w, http.StatusRequestTimeout, "client went away while waiting for %s", g.ID)
-			return
-		}
-	}
-	st := g.Status()
-	w.Header().Set("Location", "/v1/groups/"+g.ID)
-	code := http.StatusCreated
-	if st.State.Terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	return g, true
 }
 
 // parseGroupBody turns a group submission body into a base name plus
@@ -632,58 +633,6 @@ func parseGroupBody(body []byte) (string, []*scenario.Spec, error) {
 		variants = append(variants, vs...)
 	}
 	return name, variants, nil
-}
-
-// handleGroup routes /v1/groups/{id}[/result|/events]. In coordinator
-// mode a group minted by another peer is proxied to it (groups live on
-// their entry peer; only their children's computations fan out).
-func (s *Service) handleGroup(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/groups/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if peer, remote := s.routeRemote(id); remote {
-		s.proxyToPeer(w, r, peer)
-		return
-	}
-	g, ok := s.Group(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no group %q", id)
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			writeJSON(w, http.StatusOK, g.Status())
-		case http.MethodDelete:
-			s.handleGroupCancel(w, g)
-		default:
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on a group", r.Method)
-		}
-	case "result":
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on a group result", r.Method)
-			return
-		}
-		s.handleGroupResult(w, r, g)
-	case "events":
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on an event stream", r.Method)
-			return
-		}
-		streamLines(w, r, s.cfg.HeartbeatInterval, s.chaos, g.eventsSince)
-	default:
-		httpError(w, http.StatusNotFound, "no resource %q under group %s", sub, id)
-	}
-}
-
-// handleGroupCancel cancels a group over the API, fanning out to its
-// children.
-func (s *Service) handleGroupCancel(w http.ResponseWriter, g *JobGroup) {
-	if !s.cancelGroup(g) {
-		httpError(w, http.StatusConflict, "group %s already %s", g.ID, g.Status().State)
-		return
-	}
-	writeJSON(w, http.StatusOK, g.Status())
 }
 
 // groupResultWire is the JSON shape of the group result endpoint's default

@@ -1,84 +1,52 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/scenario"
 )
 
-// handleSearches serves the search collection: POST submits, GET lists.
-func (s *Service) handleSearches(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handleSearchSubmit(w, r)
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.Searches())
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on /v1/searches", r.Method)
-	}
-}
-
-// handleSearchSubmit parses a spec with a search block and starts the
-// engine, answering with the search status (201 for a fresh search, 200
-// once terminal — after ?wait=true). The search always runs on the peer
-// that accepted it; only its evaluations fan across the ring.
-func (s *Service) handleSearchSubmit(w http.ResponseWriter, r *http.Request) {
+// acceptSearch parses a spec with a search block and starts the engine.
+// The search always runs on the peer that accepted it; only its
+// evaluations fan across the ring.
+func (s *Service) acceptSearch(w http.ResponseWriter, r *http.Request) (*SearchJob, bool) {
 	reps, priority, deadline, ok := s.submitParams(w, r)
 	if !ok {
-		return
+		return nil, false
 	}
 	if !deadline.IsZero() {
 		// A search is many jobs over many rounds; a single absolute
 		// deadline on all of them would make the trajectory depend on
 		// wall-clock. The spec's maxSeconds valve is the supported cut.
 		httpError(w, http.StatusBadRequest, "deadline: not supported on searches; set maxSeconds in the search block instead")
-		return
+		return nil, false
 	}
-	spec, err := scenario.Parse(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	body, ok := readBody(w, r, maxSpecBytes, "spec")
+	if !ok {
+		return nil, false
+	}
+	spec, err := scenario.Parse(bytes.NewReader(body))
+	if err == nil && spec.Search == nil {
+		err = errors.New("spec has no search block; submit plain specs to /v1/jobs or /v1/groups")
+	}
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "spec body exceeds %d bytes", tooBig.Limit)
-			return
-		}
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if spec.Search == nil {
-		httpError(w, http.StatusBadRequest, "spec has no search block; submit plain specs to /v1/jobs or /v1/groups")
-		return
+		return nil, false
 	}
 	// Admission after the parse, like groups: the load a search carries is
 	// its round width, which only the compiled spec knows.
-	if retryAfter, ok := s.admitHTTP(priority, searchAdmissionWidth(spec)); !ok {
-		s.shed(w, retryAfter)
-		return
+	if !s.admit(w, priority, searchAdmissionWidth(spec)) {
+		return nil, false
 	}
 	sj, err := s.SubmitSearch(spec, reps, priority)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
-	if r.URL.Query().Get("wait") == "true" {
-		select {
-		case <-sj.Done():
-			http.NewResponseController(w).SetWriteDeadline(time.Now().Add(streamWriteSlack))
-		case <-r.Context().Done():
-			httpError(w, http.StatusRequestTimeout, "client went away while waiting for %s", sj.ID)
-			return
-		}
-	}
-	st := sj.Status()
-	w.Header().Set("Location", "/v1/searches/"+sj.ID)
-	code := http.StatusCreated
-	if st.State.Terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	return sj, true
 }
 
 // searchAdmissionWidth estimates what one round of the submitted search
@@ -94,59 +62,6 @@ func searchAdmissionWidth(spec *scenario.Spec) int {
 		n = 8
 	}
 	return n
-}
-
-// handleSearch routes /v1/searches/{id}[/result|/events]. In coordinator
-// mode a search minted by another peer is proxied to it (searches live on
-// their entry peer; only their evaluations fan out).
-func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/searches/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if peer, remote := s.routeRemote(id); remote {
-		s.proxyToPeer(w, r, peer)
-		return
-	}
-	sj, ok := s.Search(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no search %q", id)
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			writeJSON(w, http.StatusOK, sj.Status())
-		case http.MethodDelete:
-			s.handleSearchCancel(w, sj)
-		default:
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on a search", r.Method)
-		}
-	case "result":
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on a search result", r.Method)
-			return
-		}
-		s.handleSearchResult(w, r, sj)
-	case "events":
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed on an event stream", r.Method)
-			return
-		}
-		streamLines(w, r, s.cfg.HeartbeatInterval, s.chaos, sj.eventsSince)
-	default:
-		httpError(w, http.StatusNotFound, "no resource %q under search %s", sub, id)
-	}
-}
-
-// handleSearchCancel cancels a search over the API: no further rounds,
-// and the cancel fans out to the in-flight round's jobs.
-func (s *Service) handleSearchCancel(w http.ResponseWriter, sj *SearchJob) {
-	cancelled, _ := s.CancelSearch(sj.ID)
-	if !cancelled {
-		httpError(w, http.StatusConflict, "search %s already %s", sj.ID, sj.Status().State)
-		return
-	}
-	writeJSON(w, http.StatusOK, sj.Status())
 }
 
 // handleSearchResult serves the completed search: the deterministic

@@ -83,9 +83,7 @@ type Job struct {
 	err      string
 	repsDone int
 	cacheHit bool
-	events   []Event
-	changed  chan struct{} // closed and replaced on every event
-	done     chan struct{} // closed once, on reaching a terminal state
+	log      eventLog[Event]
 	cancel   context.CancelFunc
 	art      *artifacts
 }
@@ -123,8 +121,7 @@ func newJob(id string, spec *scenario.Spec, key, hash string, reps, priority int
 		Deadline: deadline,
 		group:    g,
 		state:    StateQueued,
-		changed:  make(chan struct{}),
-		done:     make(chan struct{}),
+		log:      newEventLog[Event](),
 	}
 	j.emitLocked() // the initial queued event
 	return j
@@ -148,14 +145,12 @@ func (j *Job) Status() Status {
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (j *Job) Done() <-chan struct{} { return j.log.done }
 
-// terminal reports whether the job has reached a terminal state, without
-// building a full Status snapshot.
-func (j *Job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Terminal()
+// wire returns the job's ID, status document and state for the routes.
+func (j *Job) wire() (string, any, State) {
+	st := j.Status()
+	return j.ID, st, st.State
 }
 
 // Artifacts returns the rendered result files once the job is done.
@@ -175,35 +170,24 @@ func (j *Job) Artifacts() (*artifacts, bool) {
 // lock).
 func (j *Job) emitLocked() {
 	ev := Event{
-		Seq:       len(j.events) + 1,
+		Seq:       j.log.seq(),
 		State:     j.state,
 		RepsDone:  j.repsDone,
 		RepsTotal: j.Reps,
 		CacheHit:  j.cacheHit && j.state == StateDone,
 		Error:     j.err,
 	}
-	j.events = append(j.events, ev)
-	close(j.changed)
-	j.changed = make(chan struct{})
-	if j.state.Terminal() {
-		close(j.done)
-	}
+	j.log.emit(ev, j.state.Terminal())
 	if j.group != nil {
 		j.group.childEvent(j, ev)
 	}
 }
 
-// eventsSince returns the events after fromSeq, the channel that signals
-// the next change, and whether the job has terminated — the polling
-// primitive behind the NDJSON stream (replay then wait, no subscriber
-// bookkeeping, no dropped events).
-func (j *Job) eventsSince(fromSeq int) (evs []Event, changed <-chan struct{}, terminal bool) {
+// eventsSince is eventLog.since under the job's lock.
+func (j *Job) eventsSince(seen int) ([]Event, <-chan struct{}, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if fromSeq < len(j.events) {
-		evs = append(evs, j.events[fromSeq:]...)
-	}
-	return evs, j.changed, j.state.Terminal()
+	return j.log.since(seen)
 }
 
 // begin moves queued → running and installs the cancel hook; it fails if

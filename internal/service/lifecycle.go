@@ -1,0 +1,172 @@
+package service
+
+import "fmt"
+
+// The three resource kinds — jobs, groups, searches — share one lifecycle
+// skeleton: each is minted an ID, published in a bounded ledger, streams
+// NDJSON events until a terminal state closes its Done channel, and is
+// served by one route table (see route in http.go). The generics below are
+// that skeleton; each kind keeps its own mu and its own state machine.
+
+// settler is what the ledger needs of an entry: the channel closed once
+// the entry reaches a terminal state.
+type settler interface {
+	Done() <-chan struct{}
+}
+
+// closed reports whether ch has been closed, without blocking.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// ledger is the bounded, ID-addressed registry of one resource kind: the
+// ID map, submission order for the list endpoint, the ID counter, and a
+// weighted bound kept as a running total. Once the total exceeds the
+// bound, the oldest settled entries are forgotten (their IDs 404). Live
+// entries are never evicted, so the bound may be exceeded transiently
+// while old work still runs; neither is the newest entry, so a born-done
+// submission cannot 404 before its client even receives the ID. The
+// ledger has no lock: Service.mu guards every ledger, and settlement is
+// read from Done, so eviction never takes an entry's own lock.
+type ledger[T settler] struct {
+	node   string      // the ring node's ID prefix "n<idx>-", "" single-node
+	kind   byte        // the kind's ID letter: 'j', 'g' or 's'
+	bound  int         // the bound on total
+	weight func(T) int // an entry's share of the bound; nil weighs each entry 1
+	items  map[string]T
+	order  []string // submission order
+	next   int      // the last minted ID's sequence number
+	total  int      // summed weight of the retained entries
+}
+
+// newLedger returns an empty ledger minting IDs for one kind on one node.
+func newLedger[T settler](node string, kind byte, bound int, weight func(T) int) *ledger[T] {
+	return &ledger[T]{node: node, kind: kind, bound: bound, weight: weight, items: make(map[string]T)}
+}
+
+// mint returns a fresh ID ("j000001", or "n2-j000001" in a ring).
+func (l *ledger[T]) mint() string {
+	l.next++
+	return fmt.Sprintf("%s%c%06d", l.node, l.kind, l.next)
+}
+
+// weigh returns v's share of the bound.
+func (l *ledger[T]) weigh(v T) int {
+	if l.weight == nil {
+		return 1
+	}
+	return l.weight(v)
+}
+
+// publish registers v under id as the newest entry, then evicts settled
+// entries, oldest first, while the total weight exceeds the bound.
+func (l *ledger[T]) publish(id string, v T) {
+	l.items[id] = v
+	l.order = append(l.order, id)
+	l.total += l.weigh(v)
+	over := l.total - l.bound
+	// The common saturated case — oldest entries already settled — is
+	// O(1) per publish: drop from the front by reslicing.
+	front, last := 0, len(l.order)-1
+	for over > 0 && front < last && closed(l.items[l.order[front]].Done()) {
+		over -= l.evict(l.order[front])
+		front++
+	}
+	l.order = l.order[front:]
+	if over <= 0 {
+		return
+	}
+	// Rare path: something old is still live. Compact around it, bulk-
+	// appending the untouched tail (always including the newest entry)
+	// once the excess is gone.
+	kept := l.order[:0]
+	for i, id := range l.order {
+		if over <= 0 || i == len(l.order)-1 {
+			kept = append(kept, l.order[i:]...)
+			break
+		}
+		if closed(l.items[id].Done()) {
+			over -= l.evict(id)
+			continue
+		}
+		kept = append(kept, id)
+	}
+	l.order = kept
+}
+
+// evict forgets id and returns the weight it freed.
+func (l *ledger[T]) evict(id string) int {
+	w := l.weigh(l.items[id])
+	delete(l.items, id)
+	l.total -= w
+	return w
+}
+
+// lookup finds the entry with the given ID under s.mu.
+func lookup[T settler](s *Service, l *ledger[T], id string) (T, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := l.items[id]
+	return v, ok
+}
+
+// statuses snapshots l's entries in submission order under s.mu, then
+// renders each one's status outside it.
+func statuses[T settler, S any](s *Service, l *ledger[T], status func(T) S) []S {
+	s.mu.Lock()
+	items := make([]T, len(l.order))
+	for i, id := range l.order {
+		items[i] = l.items[id]
+	}
+	s.mu.Unlock()
+	out := make([]S, len(items))
+	for i, v := range items {
+		out[i] = status(v)
+	}
+	return out
+}
+
+// eventLog is one resource's NDJSON event history and its wake-ups:
+// changed is closed and replaced on every event, done is closed once, on
+// the terminal event. It has no lock: the owner's mu guards events and
+// changed, and done is fixed at construction, so Done reads it lock-free.
+type eventLog[E any] struct {
+	events  []E
+	changed chan struct{}
+	done    chan struct{}
+}
+
+// newEventLog returns an empty log.
+func newEventLog[E any]() eventLog[E] {
+	return eventLog[E]{changed: make(chan struct{}), done: make(chan struct{})}
+}
+
+// seq is the sequence number the next event carries; events count from 1.
+func (l *eventLog[E]) seq() int { return len(l.events) + 1 }
+
+// emit appends ev and wakes stream watchers; a terminal event also closes
+// done. Caller holds the owner's mu.
+func (l *eventLog[E]) emit(ev E, terminal bool) {
+	l.events = append(l.events, ev)
+	close(l.changed)
+	l.changed = make(chan struct{})
+	if terminal {
+		close(l.done)
+	}
+}
+
+// since returns the events after the first seen ones, the channel that
+// signals the next change, and whether the log is complete — the polling
+// primitive behind every NDJSON stream (replay then wait, no subscriber
+// bookkeeping, no dropped events). Caller holds the owner's mu.
+func (l *eventLog[E]) since(seen int) (evs []E, changed <-chan struct{}, terminal bool) {
+	if seen < len(l.events) {
+		evs = append(evs, l.events[seen:]...)
+	}
+	return evs, l.changed, closed(l.done)
+}

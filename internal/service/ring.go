@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -136,8 +135,8 @@ func splitNodeID(id string) (node int, ok bool) {
 }
 
 // jobSeq extracts the numeric sequence from a job ID ("j000007", or the
-// ring-prefixed "n2-j000007"), for seeding nextID past journaled IDs;
-// ok is false for foreign formats.
+// ring-prefixed "n2-j000007"), for seeding the job ledger's ID counter
+// past journaled IDs; ok is false for foreign formats.
 func jobSeq(id string) (int, bool) {
 	i := strings.LastIndexByte(id, 'j')
 	if i < 0 {
@@ -234,56 +233,34 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// handleSubmitRing is the coordinator-mode POST /v1/jobs path. Unlike
-// the single-node edge, the body must be read before admission — the
-// spec hash is the route — after which exactly one of three things
-// happens: local execution on ownership, a single-hop forward to the
-// live owner, or degraded local fallback when the owner is down or
-// unreachable mid-forward. Forwarded requests are never forwarded
-// again: a forwarded spec this peer does not own answers 502.
-func (s *Service) handleSubmitRing(w http.ResponseWriter, r *http.Request) {
-	reps, priority, deadline, ok := s.submitParams(w, r)
-	if !ok {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "spec body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	spec, err := scenario.Parse(bytes.NewReader(body))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if spec.Sweep != nil {
-		httpError(w, http.StatusBadRequest, "%v", ErrSweep)
-		return
-	}
+// routeSubmit is the coordinator-mode half of POST /v1/jobs, run once
+// acceptJob has parsed the spec: the spec hash is the route, after which
+// exactly one of three things happens — local execution on ownership, a
+// single-hop forward to the live owner, or degraded local fallback when
+// the owner is down or unreachable mid-forward. Forwarded requests are
+// never forwarded again: a forwarded spec this peer does not own answers
+// 502. true means execute locally, admission passed; false means the
+// response is written.
+func (s *Service) routeSubmit(w http.ResponseWriter, r *http.Request, spec *scenario.Spec, body []byte, priority int) bool {
 	hash, err := spec.Hash()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return false
 	}
 	owner := s.ring.Owner(hash)
 	switch {
 	case owner == s.ring.Self():
-		// Fall through to local execution below.
+		// Local execution.
 	case r.Header.Get(forwardedHeader) != "":
 		s.met.ringLoops.Add(1)
 		httpError(w, http.StatusBadGateway,
 			"ring: forwarded spec %s is owned by %s, not this peer %s; peers disagree on ownership (inconsistent -peers lists?)",
 			hash, owner, s.ring.Self())
-		return
+		return false
 	case s.prober.Up(owner):
 		s.met.ringForwards.Add(1)
 		if s.forwardSubmit(w, r, owner, body) {
-			return
+			return false
 		}
 		// The owner died between the health check and the forward;
 		// nothing was written, the body is in hand — degrade to local.
@@ -291,11 +268,7 @@ func (s *Service) handleSubmitRing(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.met.ringFallbacks.Add(1)
 	}
-	if retryAfter, ok := s.admitHTTP(priority, 1); !ok {
-		s.shed(w, retryAfter)
-		return
-	}
-	s.finishSubmit(w, r, spec, reps, priority, deadline)
+	return s.admit(w, priority, 1)
 }
 
 // forwardSubmit relays a submission to the owning peer and streams its

@@ -48,9 +48,7 @@ type SearchJob struct {
 	group       *JobGroup // the in-flight round's group, for cancel fan-out
 	cancelReq   bool
 	cancel      context.CancelFunc
-	events      []SearchEvent
-	changed     chan struct{} // closed and replaced on every event
-	done        chan struct{} // closed once, on reaching a terminal state
+	log         eventLog[SearchEvent]
 }
 
 // SearchEvent is one NDJSON record on a search's event stream: a state
@@ -116,8 +114,7 @@ func newSearchJob(id string, p *search.Problem, reps, priority int, met *metrics
 		problem:  p,
 		met:      met,
 		state:    StateQueued,
-		changed:  make(chan struct{}),
-		done:     make(chan struct{}),
+		log:      newEventLog[SearchEvent](),
 	}
 	sj.emitLocked(nil)
 	return sj
@@ -152,13 +149,12 @@ func (sj *SearchJob) Status() SearchStatus {
 }
 
 // Done returns a channel closed when the search reaches a terminal state.
-func (sj *SearchJob) Done() <-chan struct{} { return sj.done }
+func (sj *SearchJob) Done() <-chan struct{} { return sj.log.done }
 
-// terminal reports whether the search has reached a terminal state.
-func (sj *SearchJob) terminal() bool {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	return sj.state.Terminal()
+// wire returns the search's ID, status document and state for the routes.
+func (sj *SearchJob) wire() (string, any, State) {
+	st := sj.Status()
+	return sj.ID, st, st.State
 }
 
 // Result returns the final search result once the search is done.
@@ -174,28 +170,14 @@ func (sj *SearchJob) Result() (*search.Result, bool) {
 // emitLocked appends an event reflecting the current state and wakes
 // stream watchers. Caller holds sj.mu.
 func (sj *SearchJob) emitLocked(round *search.Round) {
-	sj.events = append(sj.events, SearchEvent{
-		Seq:   len(sj.events) + 1,
-		State: sj.state,
-		Round: round,
-		Error: sj.err,
-	})
-	close(sj.changed)
-	sj.changed = make(chan struct{})
-	if sj.state.Terminal() {
-		close(sj.done)
-	}
+	sj.log.emit(SearchEvent{Seq: sj.log.seq(), State: sj.state, Round: round, Error: sj.err}, sj.state.Terminal())
 }
 
-// eventsSince is the NDJSON stream's polling primitive, mirroring
-// Job.eventsSince.
-func (sj *SearchJob) eventsSince(fromSeq int) (evs []SearchEvent, changed <-chan struct{}, terminal bool) {
+// eventsSince is eventLog.since under the search's lock.
+func (sj *SearchJob) eventsSince(seen int) ([]SearchEvent, <-chan struct{}, bool) {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
-	if fromSeq < len(sj.events) {
-		evs = append(evs, sj.events[fromSeq:]...)
-	}
-	return evs, sj.changed, sj.state.Terminal()
+	return sj.log.since(seen)
 }
 
 // begin moves queued → running and installs the engine's cancel hook; it
@@ -317,11 +299,9 @@ func (s *Service) SubmitSearch(spec *scenario.Spec, reps, priority int) (*Search
 		// be waiting on; refusing here keeps the shutdown contract simple.
 		return nil, errors.New("service: draining; not accepting searches")
 	}
-	if reps <= 0 {
-		reps = s.cfg.DefaultReps
-	}
-	if reps > s.cfg.MaxReps {
-		return nil, fmt.Errorf("service: reps %d exceeds the limit %d", reps, s.cfg.MaxReps)
+	reps, err := s.resolveReps(reps)
+	if err != nil {
+		return nil, err
 	}
 	p, err := search.Compile(spec, reps, s.cfg.MaxReps)
 	if err != nil {
@@ -332,14 +312,11 @@ func (s *Service) SubmitSearch(spec *scenario.Spec, reps, priority int) (*Search
 	}
 
 	s.mu.Lock()
-	s.nextSearchID++
-	id := fmt.Sprintf("%ss%06d", s.idPrefix, s.nextSearchID)
+	id := s.searches.mint()
 	sj := newSearchJob(id, p, reps, priority, &s.met)
 	s.met.searchesSubmitted.Add(1)
 	s.met.searchesActive.Add(1)
-	s.searches[id] = sj
-	s.searchOrder = append(s.searchOrder, id)
-	s.pruneSearchesLocked()
+	s.searches.publish(id, sj)
 	s.mu.Unlock()
 
 	s.wg.Add(1)
@@ -394,7 +371,7 @@ type groupEvaluator struct {
 // blocks until every variant settles, returning each candidate's summary
 // metrics in order. A context cut (DELETE, shutdown, MaxSeconds) cancels
 // the in-flight group before returning.
-func (e *groupEvaluator) EvaluateRound(ctx context.Context, round int, cands []Candidate) ([]map[string]float64, error) {
+func (e *groupEvaluator) EvaluateRound(ctx context.Context, round int, cands []search.Candidate) ([]map[string]float64, error) {
 	specs := make([]*scenario.Spec, len(cands))
 	for i, c := range cands {
 		specs[i] = c.Spec
@@ -439,10 +416,6 @@ func (e *groupEvaluator) EvaluateRound(ctx context.Context, round int, cands []C
 	return out, nil
 }
 
-// Candidate re-exports the engine's candidate type for the evaluator
-// signature.
-type Candidate = search.Candidate
-
 // groupFailure digs the most useful failure reason out of a failed
 // group's status: the group-level error, else the first failed variant's.
 func groupFailure(st GroupStatus) string {
@@ -479,27 +452,10 @@ func jobSummary(j *Job) (map[string]float64, error) {
 }
 
 // Search looks a search up by ID.
-func (s *Service) Search(id string) (*SearchJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sj, ok := s.searches[id]
-	return sj, ok
-}
+func (s *Service) Search(id string) (*SearchJob, bool) { return lookup(s, s.searches, id) }
 
 // Searches returns status snapshots of every search in submission order.
-func (s *Service) Searches() []SearchStatus {
-	s.mu.Lock()
-	searches := make([]*SearchJob, len(s.searchOrder))
-	for i, id := range s.searchOrder {
-		searches[i] = s.searches[id]
-	}
-	s.mu.Unlock()
-	out := make([]SearchStatus, len(searches))
-	for i, sj := range searches {
-		out[i] = sj.Status()
-	}
-	return out
-}
+func (s *Service) Searches() []SearchStatus { return statuses(s, s.searches, (*SearchJob).Status) }
 
 // CancelSearch stops the identified search: the engine context is
 // cancelled (no further rounds) and the cancel fans out to the in-flight
@@ -511,33 +467,15 @@ func (s *Service) CancelSearch(id string) (cancelled, found bool) {
 	if !ok {
 		return false, false
 	}
+	return s.cancelSearch(sj), true
+}
+
+// cancelSearch requests the search's cancel and fans it out to the
+// in-flight round's group.
+func (s *Service) cancelSearch(sj *SearchJob) bool {
 	g, ok := sj.requestCancel()
 	if g != nil {
 		s.cancelGroup(g)
 	}
-	return ok, true
-}
-
-// pruneSearchesLocked evicts the oldest terminal searches while the
-// ledger exceeds SearchHistory, mirroring the job ledger's policy: active
-// searches and the newest entry are never evicted. Caller holds s.mu.
-func (s *Service) pruneSearchesLocked() {
-	over := len(s.searchOrder) - s.cfg.SearchHistory
-	if over <= 0 {
-		return
-	}
-	kept := s.searchOrder[:0]
-	for i, id := range s.searchOrder {
-		if over <= 0 || i == len(s.searchOrder)-1 {
-			kept = append(kept, s.searchOrder[i:]...)
-			break
-		}
-		if s.searches[id].terminal() {
-			delete(s.searches, id)
-			over--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.searchOrder = kept
+	return ok
 }

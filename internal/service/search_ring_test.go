@@ -118,3 +118,46 @@ func TestRingSearchConvergesOnceFleetWide(t *testing.T) {
 		t.Fatalf("trajectories differ across entry peers:\n%s\nvs\n%s", traj1, traj2)
 	}
 }
+
+// TestRingRejectsSearchSpecOnJobsBeforeRouting: a search spec POSTed to
+// /v1/jobs is refused with 400 and the /v1/searches hint by whichever peer
+// it enters, before ownership is consulted — so it is never forwarded to
+// its owner, and with the owner down it is never counted as a local
+// fallback either.
+func TestRingRejectsSearchSpecOnJobsBeforeRouting(t *testing.T) {
+	fleet := servicetest.StartRing(t, 3, nil)
+	owner := fleet.OwnerIndex(specHash(t, ringSearchSpec))
+	reject := func(entry *servicetest.Peer) {
+		t.Helper()
+		resp, err := http.Post(entry.URL+"/v1/jobs", "application/json", strings.NewReader(ringSearchSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(b, []byte("/v1/searches")) {
+			t.Fatalf("search spec on n%d /v1/jobs: %d %s, want 400 pointing at /v1/searches", entry.Index, resp.StatusCode, b)
+		}
+	}
+	counters := []string{`scda_ring_forwards_total{kind="submit"}`, "scda_ring_local_fallbacks_total"}
+	for _, p := range fleet.Peers {
+		reject(p)
+	}
+	for _, p := range fleet.Peers {
+		for _, name := range counters {
+			if v := metricValue(t, p.URL, name); v != 0 {
+				t.Errorf("n%d: %s = %d after rejected submissions, want 0", p.Index, name, v)
+			}
+		}
+	}
+
+	fleet.Peers[owner].Crash()
+	fleet.ProbeAll(2)
+	entry := fleet.Peers[(owner+1)%3]
+	reject(entry)
+	for _, name := range counters {
+		if v := metricValue(t, entry.URL, name); v != 0 {
+			t.Errorf("n%d with owner n%d down: %s = %d, want 0", entry.Index, owner, name, v)
+		}
+	}
+}

@@ -198,6 +198,35 @@ func TestSearchSpecRejectedOnJobAndGroupEndpoints(t *testing.T) {
 	}
 }
 
+// TestSearchHistoryEviction: SearchHistory bounds the search ledger like
+// JobHistory bounds the job ledger — once two searches have finished under
+// a bound of one, the older answers 404 and the newest stays.
+func TestSearchHistoryEviction(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, JobRunners: 1, SearchHistory: 1})
+	var ids []string
+	for i := 0; i < 2; i++ {
+		st, code := postSearch(t, ts, searchSpec, "?wait=true")
+		if code != http.StatusOK || st.State != StateDone {
+			t.Fatalf("search %d: %d %+v", i, code, st)
+		}
+		ids = append(ids, st.ID)
+	}
+	if _, code := get(t, ts.URL+"/v1/searches/"+ids[0]); code != http.StatusNotFound {
+		t.Fatalf("older search still served: %d, want 404 after eviction", code)
+	}
+	if _, code := get(t, ts.URL+"/v1/searches/"+ids[1]); code != http.StatusOK {
+		t.Fatalf("newest search evicted: %d", code)
+	}
+	b, _ := get(t, ts.URL+"/v1/searches")
+	var list []SearchStatus
+	if err := json.Unmarshal(b, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].ID != ids[1] {
+		t.Fatalf("search list %+v, want only %s", list, ids[1])
+	}
+}
+
 // slowSearchSpec searches over two fresh seeds of the heavy scenario at
 // two replicates each, so a cancel lands at a replicate boundary long
 // before the round completes.

@@ -170,16 +170,10 @@ type Service struct {
 
 	draining atomic.Bool // set at Close: journal entries are retained, /readyz is unready
 
-	mu           sync.Mutex
-	jobs         map[string]*Job
-	order        []string // submission order, for the list endpoint
-	nextID       int
-	groups       map[string]*JobGroup
-	groupOrder   []string // group submission order, for the list endpoint
-	nextGroupID  int
-	searches     map[string]*SearchJob
-	searchOrder  []string // search submission order, for the list endpoint
-	nextSearchID int
+	mu       sync.Mutex
+	jobs     *ledger[*Job]
+	groups   *ledger[*JobGroup] // weighed by variant count (see GroupHistory)
+	searches *ledger[*SearchJob]
 
 	cacheMu   sync.Mutex
 	cacheKeys []string // completed-entry FIFO backing CacheEntries eviction
@@ -239,15 +233,15 @@ func New(cfg Config) *Service {
 		group:     runner.NewGroup[string, *artifacts](),
 		adm:       newAdmission(cfg.SLO, cfg.JobRunners),
 		chaos:     cfg.Chaos,
-		jobs:      make(map[string]*Job),
-		groups:    make(map[string]*JobGroup),
-		searches:  make(map[string]*SearchJob),
 		cacheSeen: make(map[string]bool),
 	}
 	if cfg.CacheDir != "" {
 		s.disk = newDiskCache(cfg.CacheDir, cfg.CacheMaxEntries, cfg.CacheMaxBytes)
 	}
 	s.setupRing(cfg)
+	s.jobs = newLedger[*Job](s.idPrefix, 'j', cfg.JobHistory, nil)
+	s.groups = newLedger(s.idPrefix, 'g', cfg.GroupHistory, func(g *JobGroup) int { return len(g.names) })
+	s.searches = newLedger[*SearchJob](s.idPrefix, 's', cfg.SearchHistory, nil)
 	var recovered []journalEntry
 	if cfg.JournalDir != "" {
 		// Journal open failure (unwritable directory) degrades to no
@@ -261,8 +255,8 @@ func New(cfg Config) *Service {
 			// submission's journal write and then deleted by the old
 			// entry's cleanup.
 			for _, e := range recovered {
-				if n, ok := jobSeq(e.ID); ok && n > s.nextID {
-					s.nextID = n
+				if n, ok := jobSeq(e.ID); ok && n > s.jobs.next {
+					s.jobs.next = n
 				}
 			}
 		}
@@ -333,18 +327,6 @@ func (s *Service) Ready() bool {
 	return !s.draining.Load() && !s.adm.overloaded(s.queue.Len())
 }
 
-// admitHTTP is the HTTP edge's admission gate for a submission of n jobs
-// at the given priority: ok=false means shed (the caller answers 429 with
-// retryAfter). Programmatic Submit/SubmitGroup bypass this deliberately —
-// shedding is a traffic-edge policy, not a library constraint.
-func (s *Service) admitHTTP(priority, n int) (retryAfter time.Duration, ok bool) {
-	retryAfter, ok = s.adm.decide(s.queue.DepthAtOrAbove(priority), n)
-	if !ok {
-		s.met.shedTotal.Add(1)
-	}
-	return retryAfter, ok
-}
-
 // ErrSweep rejects specs with a sweep block on the single-job endpoint:
 // one job is one run. Sweeps are first-class on the group endpoint, which
 // expands them server-side and aggregates the variants.
@@ -364,13 +346,34 @@ func (s *Service) Submit(spec *scenario.Spec, reps, priority int) (*Job, error) 
 // for work is always served). A zero deadline means none; the server-side
 // MaxJobRuntime cap applies on top either way.
 func (s *Service) SubmitWithDeadline(spec *scenario.Spec, reps, priority int, deadline time.Time) (*Job, error) {
-	if spec.Sweep != nil {
-		return nil, ErrSweep
-	}
-	if spec.Search != nil {
-		return nil, ErrSearch
+	if err := concrete(spec); err != nil {
+		return nil, err
 	}
 	return s.submit(spec, reps, priority, deadline, nil)
+}
+
+// concrete rejects the specs the job and group endpoints do not run: a
+// sweep expands into a group, a search block runs on /v1/searches.
+func concrete(spec *scenario.Spec) error {
+	switch {
+	case spec.Sweep != nil:
+		return ErrSweep
+	case spec.Search != nil:
+		return ErrSearch
+	}
+	return nil
+}
+
+// resolveReps applies the server default to reps <= 0 and enforces
+// MaxReps — every submit path's replicate-count rule.
+func (s *Service) resolveReps(reps int) (int, error) {
+	if reps <= 0 {
+		return s.cfg.DefaultReps, nil
+	}
+	if reps > s.cfg.MaxReps {
+		return 0, fmt.Errorf("service: reps %d exceeds the limit %d", reps, s.cfg.MaxReps)
+	}
+	return reps, nil
 }
 
 // submit is Submit plus an optional owning group: a non-nil g is attached
@@ -381,11 +384,9 @@ func (s *Service) submit(spec *scenario.Spec, reps, priority int, deadline time.
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if reps <= 0 {
-		reps = s.cfg.DefaultReps
-	}
-	if reps > s.cfg.MaxReps {
-		return nil, fmt.Errorf("service: reps %d exceeds the limit %d", reps, s.cfg.MaxReps)
+	reps, err := s.resolveReps(reps)
+	if err != nil {
+		return nil, err
 	}
 	hash, err := spec.Hash()
 	if err != nil {
@@ -409,15 +410,14 @@ func (s *Service) submit(spec *scenario.Spec, reps, priority int, deadline time.
 	}
 
 	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("%sj%06d", s.idPrefix, s.nextID)
+	id := s.jobs.mint()
 	j := newJob(id, spec, key, hash, reps, priority, deadline, g)
 	if g != nil {
 		g.attach(j)
 	}
 	if hit {
 		// Cache fast path: the job is born done *before* it is published
-		// in s.jobs, so no DELETE can race its accounting.
+		// in the ledger, so no DELETE can race its accounting.
 		s.met.cacheHits.Add(1)
 		s.met.doneOK.Add(1)
 		j.complete(art, true)
@@ -427,9 +427,7 @@ func (s *Service) submit(spec *scenario.Spec, reps, priority int, deadline time.
 		// incremented before it decrements.
 		s.met.jobsQueued.Add(1)
 	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.pruneLocked()
+	s.jobs.publish(id, j)
 	s.mu.Unlock()
 
 	if hit {
@@ -495,72 +493,11 @@ func (s *Service) cancelJob(j *Job) bool {
 	return ok
 }
 
-// pruneLocked evicts the oldest terminal jobs while the ledger exceeds
-// JobHistory. Caller holds s.mu; active jobs are skipped, so the ledger
-// may transiently exceed the bound when everything old is still running.
-// The common saturated case — oldest entries already terminal — is O(1)
-// per submit: drop from the front by reslicing, no ledger rebuild.
-func (s *Service) pruneLocked() {
-	over := len(s.order) - s.cfg.JobHistory
-	if over <= 0 {
-		return
-	}
-	// The newest entry is the job the current Submit is publishing and is
-	// never evicted: a born-done cache hit must not 404 before its client
-	// even receives the ID (reachable when everything older is active).
-	last := len(s.order) - 1
-	front := 0
-	for over > 0 && front < last && s.jobs[s.order[front]].terminal() {
-		delete(s.jobs, s.order[front])
-		front++
-		over--
-	}
-	s.order = s.order[front:]
-	if over <= 0 {
-		return
-	}
-	// Rare path: something old is still active. Compact around it, bulk-
-	// appending the untouched tail (always including the newest entry)
-	// once the excess is gone.
-	kept := s.order[:0]
-	for i, id := range s.order {
-		if over == 0 || i == len(s.order)-1 {
-			kept = append(kept, s.order[i:]...)
-			break
-		}
-		if s.jobs[id].terminal() {
-			delete(s.jobs, id)
-			over--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
-}
-
 // Job looks a job up by ID.
-func (s *Service) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
+func (s *Service) Job(id string) (*Job, bool) { return lookup(s, s.jobs, id) }
 
 // Jobs returns status snapshots of every job in submission order.
-func (s *Service) Jobs() []Status {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, len(ids))
-	for i, id := range ids {
-		jobs[i] = s.jobs[id]
-	}
-	s.mu.Unlock()
-	out := make([]Status, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Status()
-	}
-	return out
-}
+func (s *Service) Jobs() []Status { return statuses(s, s.jobs, (*Job).Status) }
 
 // Cancel stops the identified job: immediately if queued, at the next
 // replicate boundary if running. The second return reports whether the
@@ -598,18 +535,13 @@ func (s *Service) SubmitGroupWithDeadline(name string, specs []*scenario.Spec, r
 	if len(specs) > s.cfg.MaxGroupVariants {
 		return nil, fmt.Errorf("service: group expands to %d variants, more than the limit %d", len(specs), s.cfg.MaxGroupVariants)
 	}
-	if reps <= 0 {
-		reps = s.cfg.DefaultReps
-	}
-	if reps > s.cfg.MaxReps {
-		return nil, fmt.Errorf("service: reps %d exceeds the limit %d", reps, s.cfg.MaxReps)
+	reps, err := s.resolveReps(reps)
+	if err != nil {
+		return nil, err
 	}
 	for _, spec := range specs {
-		if spec.Sweep != nil {
-			return nil, ErrSweep
-		}
-		if spec.Search != nil {
-			return nil, ErrSearch
+		if err := concrete(spec); err != nil {
+			return nil, err
 		}
 		if err := spec.Validate(); err != nil {
 			return nil, err
@@ -632,14 +564,11 @@ func (s *Service) publishGroup(name string, specs []*scenario.Spec, reps, priori
 		names[i] = spec.Name
 	}
 	s.mu.Lock()
-	s.nextGroupID++
-	id := fmt.Sprintf("%sg%06d", s.idPrefix, s.nextGroupID)
+	id := s.groups.mint()
 	g := newJobGroup(id, name, names, reps, priority, &s.met)
 	g.deadline = deadline
 	s.met.groupsActive.Add(1)
-	s.groups[id] = g
-	s.groupOrder = append(s.groupOrder, id)
-	s.pruneGroupsLocked()
+	s.groups.publish(id, g)
 	s.mu.Unlock()
 	return g
 }
@@ -672,27 +601,10 @@ func (s *Service) submitVariants(g *JobGroup, specs []*scenario.Spec) {
 }
 
 // Group looks a job group up by ID.
-func (s *Service) Group(id string) (*JobGroup, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[id]
-	return g, ok
-}
+func (s *Service) Group(id string) (*JobGroup, bool) { return lookup(s, s.groups, id) }
 
 // Groups returns status snapshots of every group in submission order.
-func (s *Service) Groups() []GroupStatus {
-	s.mu.Lock()
-	groups := make([]*JobGroup, len(s.groupOrder))
-	for i, id := range s.groupOrder {
-		groups[i] = s.groups[id]
-	}
-	s.mu.Unlock()
-	out := make([]GroupStatus, len(groups))
-	for i, g := range groups {
-		out[i] = g.Status()
-	}
-	return out
-}
+func (s *Service) Groups() []GroupStatus { return statuses(s, s.groups, (*JobGroup).Status) }
 
 // CancelGroup stops the identified group: cancellation fans out to every
 // child job (immediately for queued ones, at the next replicate boundary
@@ -723,37 +635,6 @@ func (s *Service) cancelGroup(g *JobGroup) bool {
 		s.cancelJob(j)
 	}
 	return true
-}
-
-// pruneGroupsLocked evicts the oldest terminal groups while the total
-// variant count retained by the ledger exceeds GroupHistory, mirroring
-// pruneLocked for jobs: active groups and the newest entry are never
-// evicted (so the bound is transiently exceedable while old groups are
-// still running, exactly like the job ledger's). Eviction releases the
-// group's references to its child jobs — and through them any rendered
-// artifacts the job ledger had already let go of. Caller holds s.mu.
-func (s *Service) pruneGroupsLocked() {
-	over := -s.cfg.GroupHistory
-	for _, id := range s.groupOrder {
-		over += s.groups[id].variantCount()
-	}
-	if over <= 0 {
-		return
-	}
-	kept := s.groupOrder[:0]
-	for i, id := range s.groupOrder {
-		if over <= 0 || i == len(s.groupOrder)-1 {
-			kept = append(kept, s.groupOrder[i:]...)
-			break
-		}
-		if s.groups[id].terminal() {
-			over -= s.groups[id].variantCount()
-			delete(s.groups, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.groupOrder = kept
 }
 
 // runLoop is one job-runner goroutine: pop, execute, repeat until the
