@@ -5,13 +5,12 @@ import (
 	"sort"
 )
 
-// DoccommentAnalyzer fails exported identifiers that lack doc comments —
-// the scripts/doccheck gate folded into the suite so there is one linting
-// entry point. It reports every package missing a package comment and every
-// exported package-level declaration — funcs, methods with exported
-// receivers, types, consts, vars — missing a doc comment, so the godoc
-// surface cannot rot as packages grow. scripts/doccheck remains as a thin
-// shim over this analyzer.
+// DoccommentAnalyzer fails exported identifiers that lack doc comments,
+// so there is one linting entry point for the godoc contract. It reports
+// every package missing a package comment and every exported
+// package-level declaration — funcs, methods with exported receivers,
+// types, consts, vars — missing a doc comment, so the godoc surface cannot
+// rot as packages grow.
 func DoccommentAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "doccomment",

@@ -9,8 +9,7 @@
 // The suite is built only on go/ast, go/parser, go/types and go/importer —
 // no golang.org/x/tools dependency — so go.mod stays empty. Packages are
 // loaded by the module-aware loader in load.go; each analyzer is a pure
-// function from a loaded package to findings. cmd/scda-lint is the CLI,
-// scripts/doccheck remains a thin shim over the doccomment analyzer.
+// function from a loaded package to findings. cmd/scda-lint is the CLI.
 //
 // # Annotations
 //
