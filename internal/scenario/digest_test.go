@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"crypto/sha256"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,8 +14,16 @@ import (
 // digestFile pins the output bytes of every shipped job and sweep spec.
 // Rewrite it with `go test ./internal/scenario -run TestShippedSpecDigests
 // -update` only for a change that is meant to move simulation output, and
-// say why in the change log.
-const digestFile = "testdata/digests.txt"
+// say why in the change log. fullDigestFile is its full-length tier for
+// the packet specs, rewritten the same way with `-full -update`.
+const (
+	digestFile     = "testdata/digests.txt"
+	fullDigestFile = "testdata/digests-full.txt"
+)
+
+// full turns on TestShippedSpecDigestsFull, which takes tens of seconds,
+// so the default test run leaves it out.
+var full = flag.Bool("full", false, "run the full-length digest tier (TestShippedSpecDigestsFull)")
 
 // Trimmed run lengths: packet specs arrive for at most digestPacketSeconds
 // and fluid specs for at most digestFluidSeconds of simulated time, so
@@ -81,6 +90,35 @@ func digestLines(t *testing.T, s *Spec) []string {
 // variants of the power-save base. A refactor of the engines or the
 // cluster is behaviour-preserving exactly when this file does not move.
 func TestShippedSpecDigests(t *testing.T) {
+	checkDigests(t, digestFile, func(s *Spec) bool {
+		maxDur := float64(digestPacketSeconds)
+		if eng, _ := s.engineKind(); eng == EngineFluid {
+			maxDur = digestFluidSeconds
+		}
+		trimForDigest(s, maxDur)
+		return true
+	})
+}
+
+// TestShippedSpecDigestsFull is the full-length tier: every shipped
+// packet job and sweep spec runs untrimmed, so a last-digit change that
+// the trimmed corpus averages away (a fused multiply-add in the power
+// model, a tie fired out of order late in a run) still moves a digest.
+// It runs only under -full.
+func TestShippedSpecDigestsFull(t *testing.T) {
+	if !*full {
+		t.Skip("full-length tier: run with -full")
+	}
+	checkDigests(t, fullDigestFile, func(s *Spec) bool {
+		eng, _ := s.engineKind()
+		return eng == EnginePacket
+	})
+}
+
+// checkDigests runs every shipped job and sweep variant that prepare
+// keeps (prepare may shorten it first) and compares the CSV digests with
+// file, rewriting the file first under -update.
+func checkDigests(t *testing.T, file string, prepare func(*Spec) bool) {
 	specs, err := LoadDir(filepath.Join("..", "..", "scenarios"))
 	if err != nil {
 		t.Fatal(err)
@@ -97,14 +135,12 @@ func TestShippedSpecDigests(t *testing.T) {
 	}
 	var got []string
 	for _, s := range variants {
-		maxDur := float64(digestPacketSeconds)
-		if eng, _ := s.engineKind(); eng == EngineFluid {
-			maxDur = digestFluidSeconds
+		if !prepare(s) {
+			continue
 		}
-		trimForDigest(s, maxDur)
 		t.Run(s.Name, func(t *testing.T) {
 			if err := s.Validate(); err != nil {
-				t.Fatalf("trimmed spec invalid: %v", err)
+				t.Fatalf("prepared spec invalid: %v", err)
 			}
 			got = append(got, digestLines(t, s)...)
 		})
@@ -114,17 +150,17 @@ func TestShippedSpecDigests(t *testing.T) {
 	}
 	text := strings.Join(got, "\n") + "\n"
 	if *update {
-		if err := os.WriteFile(digestFile, []byte(text), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(digestFile)
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	if len(want) != len(got) {
-		t.Errorf("%d digests, %s has %d", len(got), digestFile, len(want))
+		t.Errorf("%d digests, %s has %d", len(got), file, len(want))
 	}
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {

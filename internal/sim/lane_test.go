@@ -7,31 +7,51 @@ import (
 )
 
 // laneDriver interprets a byte string as a schedule: top-level ops
-// schedule, cancel, cut the run with RunUntil or run it out, and every
-// fired callback reads further bytes to schedule children, call Stop or
-// cancel. The same bytes drive two simulators: the direct one schedules
-// every event with At/AtArg, the laned one puts the events the bytes
-// designate on 1–3 lanes. Each driver reads its own cursor, so the two
-// consume the input identically exactly as long as they fire identically,
-// and the first divergence shows in the log.
+// schedule, cancel, cut the run with RunUntil (at a later time or at
+// exactly Now) or run it out, and every fired callback reads further bytes
+// to schedule children, call Stop or cancel. The same bytes drive three
+// queues: a Simulator that schedules every event with At/AtArg, a
+// Simulator that puts the events the bytes designate on 1–3 lanes, and
+// refQueue, a linear scan that needs no cleverness to be right. Each
+// driver reads its own cursor, so the runs consume the input identically
+// exactly as long as they fire identically, and the first divergence shows
+// in the log.
 type laneDriver struct {
-	s      *Simulator
-	laned  bool
-	lanes  []*Lane
+	q      orderQueue
 	tails  []Time // the time each lane's tail would have in the laned run
 	in     []byte
 	pos    int
-	direct []Event // handles of the events both runs schedule directly
+	direct []canceler // handles of the events every run schedules directly
 	ids    int
 	log    []string
 }
 
-func newLaneDriver(in []byte, laned bool) *laneDriver {
-	d := &laneDriver{s: New(), laned: laned, in: in}
+// runMode selects the queue a laneDriver runs on.
+type runMode int
+
+const (
+	modeDirect    runMode = iota // a Simulator, every event through At/AtArg
+	modeLaned                    // a Simulator, lane-designated events on Lanes
+	modeReference                // refQueue
+)
+
+func (m runMode) String() string {
+	return [...]string{"direct scheduling", "lanes", "the reference"}[m]
+}
+
+func newLaneDriver(in []byte, mode runMode) *laneDriver {
+	d := &laneDriver{in: in}
 	n := 1 + int(d.next()%3)
 	d.tails = make([]Time, n)
-	for i := 0; i < n; i++ {
-		d.lanes = append(d.lanes, d.s.NewLane())
+	switch mode {
+	case modeReference:
+		d.q = &refQueue{}
+	default:
+		q := &simQueue{s: New()}
+		for i := 0; mode == modeLaned && i < n; i++ {
+			q.lanes = append(q.lanes, q.s.NewLane())
+		}
+		d.q = q
 	}
 	return d
 }
@@ -47,19 +67,29 @@ func (d *laneDriver) next() byte {
 	return b
 }
 
-// delta is a short, coarse time step, so equal times are common.
-func (d *laneDriver) delta() Time { return Time(d.next()%8) * 0.25 }
+// delta is a time step. Half the byte values give a coarse 0.25 s step,
+// so equal times are common; the other half give (1 + m/8)·2^e for e in
+// [-48, 11], so times spread over 2^-48 s to 2^11 s and their keys differ
+// in exponent bits as well as in the low mantissa bits.
+func (d *laneDriver) delta() Time {
+	b := d.next()
+	if b < 128 {
+		return Time(b%8) * 0.25
+	}
+	return math.Ldexp(1+Time(d.next()%8)/8, int(b%60)-48)
+}
 
 // schedule adds one event. Its target (direct or lane k) and time mode —
-// now, the lane's tail, after the tail, or now plus a step that may fall
-// before the tail — come from the input.
+// now (-0 when the clock is at zero and the input says so), the lane's
+// tail, after the tail, or now plus a step that may fall before the tail —
+// come from the input.
 func (d *laneDriver) schedule() {
 	c := d.next()
 	k := int(c%4) - 1
-	if k >= len(d.lanes) {
+	if k >= len(d.tails) {
 		k = -1
 	}
-	now := d.s.Now()
+	now := d.q.now()
 	tail := now
 	if k >= 0 {
 		tail = math.Max(d.tails[k], now)
@@ -68,6 +98,9 @@ func (d *laneDriver) schedule() {
 	switch (c >> 2) % 4 {
 	case 0:
 		t = now
+		if now == 0 && c&0x80 != 0 {
+			t = math.Copysign(0, -1)
+		}
 	case 1:
 		t = tail
 	case 2:
@@ -78,16 +111,12 @@ func (d *laneDriver) schedule() {
 	id := d.ids
 	d.ids++
 	switch {
+	case k < 0 && c&0x40 != 0:
+		d.direct = append(d.direct, d.q.at(t, func() { d.fire(id) }))
 	case k < 0:
-		if c&0x40 != 0 {
-			d.direct = append(d.direct, d.s.At(t, func() { d.fire(id) }))
-		} else {
-			d.direct = append(d.direct, d.s.AtArg(t, d.fireArg, id))
-		}
-	case d.laned:
-		d.lanes[k].AtArg(t, d.fireArg, id)
+		d.direct = append(d.direct, d.q.atArg(t, d.fireArg, id))
 	default:
-		d.s.AtArg(t, d.fireArg, id)
+		d.q.laneAtArg(k, t, d.fireArg, id)
 	}
 	if k >= 0 && t >= d.tails[k] {
 		d.tails[k] = t
@@ -104,7 +133,7 @@ func (d *laneDriver) cancel() {
 func (d *laneDriver) fireArg(arg any) { d.fire(arg.(int)) }
 
 func (d *laneDriver) fire(id int) {
-	d.log = append(d.log, fmt.Sprintf("fire %d at %v", id, d.s.Now()))
+	d.log = append(d.log, fmt.Sprintf("fire %d at %v", id, d.q.now()))
 	b := d.next()
 	for i := 0; i < int(b%4); i++ {
 		d.schedule()
@@ -113,14 +142,15 @@ func (d *laneDriver) fire(id int) {
 		d.cancel()
 	}
 	if b&0x20 != 0 {
-		d.s.Stop()
+		d.q.stop()
 	}
 }
 
 // cut records the state a run boundary must agree on.
 func (d *laneDriver) cut(end Time) {
-	d.s.RunUntil(end)
-	d.log = append(d.log, fmt.Sprintf("cut %v: now %v processed %d len %d", end, d.s.Now(), d.s.Processed, d.s.Len()))
+	d.q.runUntil(end)
+	processed, n := d.q.counts()
+	d.log = append(d.log, fmt.Sprintf("cut %v: now %v processed %d len %d", end, d.q.now(), processed, n))
 }
 
 func (d *laneDriver) run() []string {
@@ -130,8 +160,10 @@ func (d *laneDriver) run() []string {
 			d.schedule()
 		case 4:
 			d.cancel()
-		case 5, 6:
-			d.cut(d.s.Now() + d.delta())
+		case 5:
+			d.cut(d.q.now() + d.delta())
+		case 6:
+			d.cut(d.q.now())
 		case 7:
 			d.cut(math.Inf(1))
 		}
@@ -140,28 +172,148 @@ func (d *laneDriver) run() []string {
 	return d.log
 }
 
-// checkLaneOrder runs in through both simulators and fails on the first
-// difference in firing sequence, Now, Processed or Len.
-func checkLaneOrder(t *testing.T, in []byte) {
-	t.Helper()
-	want := newLaneDriver(in, false).run()
-	got := newLaneDriver(in, true).run()
-	for i := 0; i < len(want) && i < len(got); i++ {
-		if got[i] != want[i] {
-			t.Fatalf("input %x: step %d: lanes give %q, direct scheduling %q", in, i, got[i], want[i])
-		}
+// canceler is the part of an event handle the driver uses.
+type canceler interface{ Cancel() }
+
+// orderQueue is the event queue under a laneDriver.
+type orderQueue interface {
+	now() Time
+	at(t Time, fn func()) canceler
+	atArg(t Time, fn func(any), arg any) canceler
+	laneAtArg(k int, t Time, fn func(any), arg any) // lane k's push
+	runUntil(end Time)
+	stop()
+	counts() (processed uint64, n int) // Processed and Len
+}
+
+// simQueue runs a schedule on a Simulator. With no lanes, lane pushes go
+// through Simulator.AtArg.
+type simQueue struct {
+	s     *Simulator
+	lanes []*Lane
+}
+
+func (q *simQueue) now() Time                                    { return q.s.Now() }
+func (q *simQueue) at(t Time, fn func()) canceler                { return q.s.At(t, fn) }
+func (q *simQueue) atArg(t Time, fn func(any), arg any) canceler { return q.s.AtArg(t, fn, arg) }
+func (q *simQueue) runUntil(end Time)                            { q.s.RunUntil(end) }
+func (q *simQueue) stop()                                        { q.s.Stop() }
+func (q *simQueue) counts() (uint64, int)                        { return q.s.Processed, q.s.Len() }
+
+func (q *simQueue) laneAtArg(k int, t Time, fn func(any), arg any) {
+	if q.lanes == nil {
+		q.s.AtArg(t, fn, arg)
+		return
 	}
-	if len(got) != len(want) {
-		t.Fatalf("input %x: lanes log %d steps, direct scheduling %d", in, len(got), len(want))
+	q.lanes[k].AtArg(t, fn, arg)
+}
+
+// refQueue is the firing-order oracle. It keeps the pending events in a
+// plain list and fires the one with the least (time, sequence) key,
+// comparing times as floats, so -0 ties with +0. A lane push is scheduled
+// directly, which is exactly what the Lane contract promises it behaves
+// as. RunUntil's clock, Stop and Processed rules are the Simulator's.
+type refQueue struct {
+	clock     Time
+	seq       uint64
+	pending   []*refEvent
+	stopped   bool
+	processed uint64
+}
+
+type refEvent struct {
+	q      *refQueue
+	at     Time
+	seq    uint64
+	fn     func()
+	queued bool
+}
+
+func (e *refEvent) Cancel() {
+	if !e.queued {
+		return
+	}
+	e.queued = false
+	p := e.q.pending
+	for i := range p {
+		if p[i] == e {
+			e.q.pending = append(p[:i], p[i+1:]...)
+			return
+		}
 	}
 }
 
-// TestLaneOrderProperty drives seeded random schedules through both
-// simulators: equal times, pushes before a lane's tail, pushes from inside
-// callbacks (a lane's own included), cancels, RunUntil cuts and Stop.
+func (q *refQueue) push(t Time, fn func()) *refEvent {
+	if t < q.clock || math.IsNaN(t) || math.IsInf(t, 0) {
+		panic(fmt.Sprintf("refQueue: scheduling at %v, now %v", t, q.clock))
+	}
+	e := &refEvent{q: q, at: t, seq: q.seq, fn: fn, queued: true}
+	q.seq++
+	q.pending = append(q.pending, e)
+	return e
+}
+
+func (q *refQueue) now() Time                     { return q.clock }
+func (q *refQueue) at(t Time, fn func()) canceler { return q.push(t, fn) }
+func (q *refQueue) stop()                         { q.stopped = true }
+func (q *refQueue) counts() (uint64, int)         { return q.processed, len(q.pending) }
+
+func (q *refQueue) atArg(t Time, fn func(any), arg any) canceler {
+	return q.push(t, func() { fn(arg) })
+}
+
+func (q *refQueue) laneAtArg(_ int, t Time, fn func(any), arg any) {
+	q.push(t, func() { fn(arg) })
+}
+
+func (q *refQueue) runUntil(end Time) {
+	q.stopped = false
+	for len(q.pending) > 0 && !q.stopped {
+		m := q.pending[0]
+		for _, e := range q.pending[1:] {
+			if e.at < m.at || e.at == m.at && e.seq < m.seq {
+				m = e
+			}
+		}
+		if m.at > end {
+			break
+		}
+		q.clock = m.at
+		q.processed++
+		m.Cancel()
+		m.fn()
+	}
+	if !q.stopped && !math.IsInf(end, 1) && q.clock < end {
+		q.clock = end
+	}
+}
+
+// checkLaneOrder runs in through the reference and both Simulator modes
+// and fails on the first difference in firing sequence, Now, Processed or
+// Len.
+func checkLaneOrder(t *testing.T, in []byte) {
+	t.Helper()
+	want := newLaneDriver(in, modeReference).run()
+	for _, mode := range []runMode{modeDirect, modeLaned} {
+		got := newLaneDriver(in, mode).run()
+		for i := 0; i < len(want) && i < len(got); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("input %x: step %d: %v gives %q, the reference %q", in, i, mode, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("input %x: %v logs %d steps, the reference %d", in, mode, len(got), len(want))
+		}
+	}
+}
+
+// TestLaneOrderProperty drives seeded random schedules through the
+// reference and both Simulator modes: equal times, -0, times spread over
+// exponents, pushes before a lane's tail, pushes from inside callbacks (a
+// lane's own included), cancels, RunUntil cuts (at Now too) and Stop.
 func TestLaneOrderProperty(t *testing.T) {
 	rng := NewRNG(13)
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 2000; i++ {
 		in := make([]byte, 16+rng.Intn(400))
 		for j := range in {
 			in[j] = byte(rng.Uint64())
@@ -174,7 +326,7 @@ func TestLaneOrderProperty(t *testing.T) {
 func FuzzLaneOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0x05, 0x05, 0x05, 0x09, 0x0d, 0x05, 5, 7})
-	f.Add([]byte("lanes keep the heap's order under every push"))
+	f.Add([]byte("lanes keep the queue order under every push"))
 	rng := NewRNG(1)
 	for i := 0; i < 4; i++ {
 		in := make([]byte, 64)
