@@ -7,21 +7,35 @@ import (
 
 // TestScheduleFireIsAllocationFree pins the event-arena property: after
 // warm-up, schedule→fire→recycle cycles (with and without AtArg payloads,
-// including a cancel) do not allocate, and neither do lane push→fire
+// including a cancel, a cancel at the current instant and a take that
+// redistributes a bucket) do not allocate, and neither do lane push→fire
 // cycles, a push before the lane's tail included.
 func TestScheduleFireIsAllocationFree(t *testing.T) {
 	s := New()
 	fn := func() {}
 	fnArg := func(any) {}
 	arg := &struct{ x int }{}
+	// cancelNow schedules two events at the current instant and cancels
+	// the first, which sits ahead of the second in bucket 0.
+	cancelNow := func() {
+		e := s.After(0, fn)
+		s.After(0, fn)
+		e.Cancel()
+	}
 	cycle := func() {
 		s.After(1, fn)
 		s.AfterArg(2, fnArg, arg)
 		e := s.After(3, fn)
 		e.Cancel()
+		s.After(0, cancelNow)
+		// Four times an eighth apart, four seconds out, share a bucket
+		// until the first is taken, which spreads the other three.
+		for i := 0; i < 4; i++ {
+			s.After(4+Time(i)/8, fn)
+		}
 		s.Run()
 	}
-	cycle() // warm the arena, heap and free list
+	cycle() // warm the arena, buckets and free list
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("warm schedule/fire/cancel allocates %v allocs/op, want 0", allocs)
 	}

@@ -5,31 +5,47 @@
 //
 // The engine is single-threaded by design. Datacenter simulations of the
 // scale used in the SCDA paper (thousands of flows, millions of packet
-// events) are dominated by heap operations and cache behaviour, not by
-// parallelism; a single goroutine with an index heap is both faster and
-// easier to make deterministic than a parallel event queue. Parallelism in
-// this repository lives one level up: independent experiment runs (one per
+// events) are dominated by event-queue operations and cache behaviour, not
+// by parallelism; a single goroutine is both faster and easier to make
+// deterministic than a parallel event queue. Parallelism in this
+// repository lives one level up: independent experiment runs (one per
 // figure, one per seed) execute concurrently.
 //
 // The event queue is allocation-free in steady state: event state lives in
 // a flat arena owned by the Simulator, recycled through a free list, and
-// ordered by a 4-ary heap of arena indices. A 4-ary heap does the same
-// comparisons-per-level work as a binary heap but halves the tree depth,
-// which matters when every sift touches the arena. Every event takes the
-// next sequence number when it is scheduled, and events with equal time
-// fire in sequence order (FIFO tie-break), which keeps runs deterministic.
+// ordered by a monotone radix queue of arena indices (Ahuja, Mehlhorn,
+// Orlin & Tarjan, "Faster algorithms for the shortest path problem", JACM
+// 1990). It is valid because no event is ever scheduled before Now. An
+// entry's key is the bit pattern of its time with the sign cleared, which
+// orders as the time does, and the entry sits in the bucket named by the
+// highest bit in which its key differs from the key of the last fired
+// event. Taking the next event scans only the lowest non-empty bucket and
+// spreads the rest of it over lower buckets, so an entry moves a few times
+// in its life instead of paying a sift from the root per fired event.
 //
-// The heap holds individual events and lane heads. A Lane is a FIFO for a
+// Every event takes the next sequence number when it is scheduled, and
+// events with equal time fire in sequence order (FIFO tie-break), which
+// keeps runs deterministic: the bucket at the last fired time keeps its
+// entries in sequence order, and the scan of a higher bucket breaks ties
+// by sequence, so the queue fires in exactly (time, sequence) order.
+// There is no size threshold below which another structure takes over.
+// Taking the only entry of the lowest bucket skips the redistribution, so
+// the radix queue costs no more than a small heap with a dozen events
+// pending (the fig. 6 shape), and a second queue would be a second firing
+// order to keep identical.
+//
+// The queue holds individual events and lane heads. A Lane is a FIFO for a
 // stream whose times never decrease in push order — a link's far-end
 // arrivals, a sorted request list — and keeps only its earliest entry in
-// the heap, so a stream of any length costs the heap one slot. Lane
-// entries keep the (time, sequence) key they would have had on the heap,
+// the queue, so a stream of any length costs the queue one slot. Lane
+// entries keep the (time, sequence) key they would have had in the queue,
 // so the firing order is the same as scheduling each one directly.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is simulation time in seconds. float64 seconds keeps the arithmetic
@@ -46,7 +62,7 @@ type eventSlot struct {
 	fnArg func(any)
 	arg   any
 	gen   uint32
-	idx   int32 // position in the heap, -1 when not queued
+	idx   int32 // position in its queue bucket, -1 when not queued
 	lane  int32 // 1 + index in Simulator.lanes of the owning lane; 0 for a plain event
 	next  int32 // the owning lane's next entry, -1 at its tail
 }
@@ -75,7 +91,7 @@ func (e Event) Cancel() {
 	if slot.gen != e.gen || slot.idx < 0 {
 		return
 	}
-	e.s.remove(slot.idx)
+	e.s.remove(e.id)
 	e.s.recycle(e.id)
 }
 
@@ -100,18 +116,26 @@ func (e Event) At() Time {
 }
 
 // Simulator owns the virtual clock, the event arena and the pending-event
-// heap.
+// queue.
 type Simulator struct {
-	now     Time
-	seq     uint64
-	arena   []eventSlot
-	heap    []int32 // 4-ary min-heap of arena indices
-	free    []int32 // recycled arena indices
+	now   Time
+	seq   uint64
+	arena []eventSlot
+	free  []int32 // recycled arena indices
+	// The radix queue. last is the key of the clock when an event last
+	// fired. Bucket b ≥ 1 holds, unordered, the entries whose key first
+	// differs from last in bit b-1 (bits.Len64(key^last) == b), and bit b
+	// of mask is set when it is non-empty. Bucket 0 holds the entries
+	// whose key is last, in sequence order from head0.
+	last    uint64
+	mask    uint64
+	buckets [64][]int32
+	head0   int
 	running bool
 	stopped bool
 	lanes   []*Lane
 	// laneWaiting counts the lane entries behind their lane's head: they
-	// are pending but not in the heap.
+	// are pending but not in the queue.
 	laneWaiting int
 
 	// Processed counts events executed since construction; useful for
@@ -128,7 +152,13 @@ func New() *Simulator {
 func (s *Simulator) Now() Time { return s.now }
 
 // Len returns the number of queued events, lane entries included.
-func (s *Simulator) Len() int { return len(s.heap) + s.laneWaiting }
+func (s *Simulator) Len() int {
+	n := len(s.buckets[0]) - s.head0 + s.laneWaiting
+	for m := s.mask; m != 0; m &= m - 1 {
+		n += len(s.buckets[bits.TrailingZeros64(m)])
+	}
+	return n
+}
 
 // alloc takes a slot from the free list (or grows the arena), stamps it
 // with t and the next FIFO sequence number, and returns its index.
@@ -179,7 +209,7 @@ func (s *Simulator) recycle(id int32) {
 func (s *Simulator) At(t Time, fn func()) Event {
 	id := s.alloc(t)
 	s.arena[id].fn = fn
-	s.push(id)
+	s.place(id)
 	return Event{s: s, id: id, gen: s.arena[id].gen}
 }
 
@@ -194,7 +224,7 @@ func (s *Simulator) AtArg(t Time, fn func(any), arg any) Event {
 	slot := &s.arena[id]
 	slot.fnArg = fn
 	slot.arg = arg
-	s.push(id)
+	s.place(id)
 	return Event{s: s, id: id, gen: slot.gen}
 }
 
@@ -212,106 +242,140 @@ func (s *Simulator) AfterArg(d Time, fn func(any), arg any) Event {
 	return s.AtArg(s.now+d, fn, arg)
 }
 
-// less orders heap entries by (time, sequence): FIFO among equal times.
+// key maps a time to its queue key: the float64 bits with the sign bit
+// cleared. A time is never negative, so keys order as times do and 64
+// buckets suffice; -0 files as +0, with which it compares equal.
 //
 //scda:noalloc
-func (s *Simulator) less(a, b int32) bool {
-	sa, sb := &s.arena[a], &s.arena[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
+func key(t Time) uint64 { return math.Float64bits(t) &^ (1 << 63) }
 
-//scda:noalloc steady state: the heap append is amortized pool growth
-func (s *Simulator) push(id int32) {
-	s.heap = append(s.heap, id)
-	s.siftUp(len(s.heap) - 1)
-}
-
-//scda:noalloc
-func (s *Simulator) siftUp(i int) {
-	h := s.heap
-	id := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !s.less(id, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		s.arena[h[i]].idx = int32(i)
-		i = p
-	}
-	h[i] = id
-	s.arena[id].idx = int32(i)
-}
-
-//scda:noalloc
-func (s *Simulator) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	id := h[i]
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if s.less(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !s.less(h[m], id) {
-			break
-		}
-		h[i] = h[m]
-		s.arena[h[i]].idx = int32(i)
-		i = m
-	}
-	h[i] = id
-	s.arena[id].idx = int32(i)
-}
-
-// remove deletes the heap entry at position i (eager deletion keeps the
-// heap small under timer churn — cancel/re-arm per ACK is the common case
-// in the transports).
+// place files queued entry id in its bucket.
 //
-//scda:noalloc
-func (s *Simulator) remove(i int32) {
-	h := s.heap
-	n := len(h) - 1
-	s.arena[h[i]].idx = -1
-	last := h[n]
-	s.heap = h[:n]
-	if int(i) == n {
+//scda:noalloc steady state: the bucket append is amortized pool growth
+func (s *Simulator) place(id int32) {
+	b := bits.Len64(key(s.arena[id].at) ^ s.last)
+	if b == 0 {
+		s.place0(id)
 		return
 	}
-	s.heap[i] = last
-	s.arena[last].idx = i
-	s.siftDown(int(i))
-	s.siftUp(int(s.arena[last].idx))
+	q := append(s.buckets[b], id)
+	s.arena[id].idx = int32(len(q) - 1)
+	s.buckets[b] = q
+	s.mask |= 1 << b
 }
 
-// popMin removes and returns the earliest event's arena index.
+// place0 files id in bucket 0, after every entry with a smaller sequence
+// number, scanning from the tail: a fresh push holds the newest number and
+// stays at the tail, while a lane's next entry or a tie redistributed from
+// a higher bucket may move up.
+//
+//scda:noalloc steady state: the bucket append is amortized pool growth
+func (s *Simulator) place0(id int32) {
+	q := s.buckets[0]
+	if len(q) == cap(q) && s.head0 > 0 {
+		// Reuse the taken prefix before growing: under a chain of
+		// zero-delay events bucket 0 never empties.
+		q = q[:copy(q, q[s.head0:])]
+		for i, e := range q {
+			s.arena[e].idx = int32(i)
+		}
+		s.head0 = 0
+	}
+	q = append(q, id)
+	seq := s.arena[id].seq
+	i := len(q) - 1
+	for ; i > s.head0 && s.arena[q[i-1]].seq > seq; i-- {
+		q[i] = q[i-1]
+		s.arena[q[i]].idx = int32(i)
+	}
+	q[i] = id
+	s.arena[id].idx = int32(i)
+	s.buckets[0] = q
+}
+
+// remove takes queued entry id out of its bucket eagerly (eager deletion
+// keeps the queue small under timer churn — cancel/re-arm per ACK is the
+// common case in the transports). Bucket 0 keeps its sequence order;
+// higher buckets are unordered, so the last entry fills the hole.
 //
 //scda:noalloc
-func (s *Simulator) popMin() int32 {
-	h := s.heap
-	top := h[0]
-	s.arena[top].idx = -1
-	n := len(h) - 1
-	last := h[n]
-	s.heap = h[:n]
-	if n > 0 {
-		s.heap[0] = last
-		s.siftDown(0)
+func (s *Simulator) remove(id int32) {
+	slot := &s.arena[id]
+	i := slot.idx
+	slot.idx = -1
+	b := bits.Len64(key(slot.at) ^ s.last)
+	q := s.buckets[b]
+	n := len(q) - 1
+	if b == 0 {
+		copy(q[i:], q[i+1:])
+		q = q[:n]
+		for j := int(i); j < n; j++ {
+			s.arena[q[j]].idx = int32(j)
+		}
+		if s.head0 == n {
+			q, s.head0 = q[:0], 0
+		}
+		s.buckets[0] = q
+		return
 	}
-	return top
+	if int(i) != n {
+		q[i] = q[n]
+		s.arena[q[i]].idx = i
+	}
+	s.buckets[b] = q[:n]
+	if n == 0 {
+		s.mask &^= 1 << b
+	}
+}
+
+// next removes and returns the pending entry with the least (time,
+// sequence) key, or -1 if the queue is empty or that entry's time is after
+// end. Bucket 0, when it holds entries, starts with the least. Otherwise
+// the least is in the lowest non-empty bucket; taking it moves last to its
+// key, which leaves every higher bucket's entries where they belong and
+// spreads the rest of its own bucket over lower ones. last moves only when
+// an entry is taken, so after a cut before the least entry a push at any
+// time from Now on still files correctly.
+//
+//scda:noalloc
+func (s *Simulator) next(end Time) int32 {
+	if q := s.buckets[0]; s.head0 < len(q) {
+		id := q[s.head0]
+		if s.arena[id].at > end {
+			return -1
+		}
+		if s.head0++; s.head0 == len(q) {
+			s.buckets[0], s.head0 = q[:0], 0
+		}
+		return id
+	}
+	if s.mask == 0 {
+		return -1
+	}
+	b := bits.TrailingZeros64(s.mask)
+	q := s.buckets[b]
+	m := q[0]
+	mk, mseq := key(s.arena[m].at), s.arena[m].seq
+	for _, e := range q[1:] {
+		slot := &s.arena[e]
+		if k := key(slot.at); k < mk || k == mk && slot.seq < mseq {
+			m, mk, mseq = e, k, slot.seq
+		}
+	}
+	if s.arena[m].at > end {
+		return -1
+	}
+	s.last = mk
+	s.mask &^= 1 << b
+	s.buckets[b] = q[:0]
+	if len(q) > 1 {
+		for _, e := range q {
+			if e != m {
+				s.place(e)
+			}
+		}
+	}
+	return m
 }
 
 // Stop halts the run loop after the current event completes.
@@ -341,24 +405,22 @@ func (s *Simulator) RunUntil(end Time) {
 	s.stopped = false
 	//scda:alloc-ok the deferred reset is an open-coded defer (single static site), proven 0 B/op by TestScheduleFireIsAllocationFree
 	defer func() { s.running = false }()
-	for len(s.heap) > 0 && !s.stopped {
-		top := s.heap[0]
-		slot := &s.arena[top]
-		if slot.at > end {
+	for !s.stopped {
+		top := s.next(end)
+		if top < 0 {
 			break
 		}
+		slot := &s.arena[top]
 		s.now = slot.at
 		s.Processed++
 		fn, fnArg, arg := slot.fn, slot.fnArg, slot.arg
-		// Pop and recycle before invoking the callback: the handle reads
+		// Take and recycle before invoking the callback: the handle reads
 		// as not-Pending inside its own callback (matching pre-arena
 		// semantics), and the slot is immediately reusable by whatever
-		// the callback schedules. A lane head hands its heap position to
-		// the lane's next entry first.
+		// the callback schedules. A lane head files the lane's next entry
+		// first.
 		if slot.lane != 0 {
 			s.advanceLane(top)
-		} else {
-			s.popMin()
 		}
 		s.recycle(top)
 		if fnArg != nil {
@@ -377,10 +439,10 @@ func (s *Simulator) RunUntil(end Time) {
 // with a fixed delay delivers in transmit order) or a sorted request list.
 // Each push takes an arena slot and the simulator's next sequence number,
 // exactly as Simulator.AtArg does, but only the lane's head sits in the
-// heap: when it fires, the lane's next entry takes its heap position
-// under that entry's own (time, sequence) key before the callback runs.
-// A push earlier than the lane's tail goes straight onto the heap under
-// the key it takes. Every key is unique and never changes, so events fire
+// queue: when it fires, the lane's next entry is filed in the queue under
+// that entry's own (time, sequence) key before the callback runs. A push
+// earlier than the lane's tail goes straight into the queue under the key
+// it takes. Every key is unique and never changes, so events fire
 // in the same order, with the same Now, as if each had been scheduled
 // with Simulator.AtArg, and they count toward Processed and Len the same
 // way. Lane entries cannot be cancelled.
@@ -404,7 +466,7 @@ func (s *Simulator) NewLane() *Lane {
 func (l *Lane) AtArg(t Time, fn func(any), arg any) {
 	s := l.s
 	if l.tail >= 0 && t < s.arena[l.tail].at {
-		s.AtArg(t, fn, arg) // out of order: the heap orders it under its own key
+		s.AtArg(t, fn, arg) // out of order: the queue orders it under its own key
 		return
 	}
 	id := s.alloc(t)
@@ -417,7 +479,7 @@ func (l *Lane) AtArg(t Time, fn func(any), arg any) {
 		s.arena[l.tail].next = id
 		s.laneWaiting++
 	} else {
-		s.push(id)
+		s.place(id)
 	}
 	l.tail = id
 }
@@ -429,22 +491,17 @@ func (l *Lane) AfterArg(d Time, fn func(any), arg any) {
 	l.AtArg(l.s.now+d, fn, arg)
 }
 
-// advanceLane removes the lane head top from the top of the heap and
-// puts the lane's next entry in its place: the next key is larger, so one
-// sift down restores the heap.
+// advanceLane files the next entry of taken lane head top in the queue,
+// or marks the lane empty.
 //
 //scda:noalloc
 func (s *Simulator) advanceLane(top int32) {
 	slot := &s.arena[top]
-	next := slot.next
-	if next < 0 {
+	if slot.next < 0 {
 		s.lanes[slot.lane-1].tail = -1
-		s.popMin()
 		return
 	}
-	slot.idx = -1
-	s.heap[0] = next
-	s.siftDown(0)
+	s.place(slot.next)
 	s.laneWaiting--
 }
 
