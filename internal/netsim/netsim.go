@@ -21,10 +21,10 @@
 // sync.Pool, so reuse order — and therefore memory layout — is identical
 // across same-seed runs), per-port queues are ring buffers, and the two
 // simulator events per hop reuse two long-lived callbacks instead of
-// capturing closures. The transmit-complete event goes on the simulator
-// heap via sim.AfterArg. The far-end arrival goes on the link's sim.Lane:
-// a link delivers in the order it transmits, so its packets in
-// propagation take one heap slot per link, not one per packet, and fire
+// capturing closures. The transmit-complete event goes in the simulator's
+// event queue via sim.AfterArg. The far-end arrival goes on the link's
+// sim.Lane: a link delivers in the order it transmits, so its packets in
+// propagation take one queue slot per link, not one per packet, and fire
 // in the same order.
 package netsim
 
@@ -391,8 +391,8 @@ func (ls *linkState) pickNext() int {
 }
 
 // startTx puts the chosen queued packet on the wire and schedules its two
-// hop events through the pre-built callbacks: transmit-complete on the
-// heap, the far-end arrival on the link's propagation lane.
+// hop events through the pre-built callbacks: transmit-complete in the
+// event queue, the far-end arrival on the link's propagation lane.
 //
 //scda:noalloc
 func (n *Network) startTx(ls *linkState) {

@@ -44,7 +44,7 @@ func TestScheduleFireIsAllocationFree(t *testing.T) {
 		for i := 1; i <= 8; i++ {
 			l.AfterArg(Time(i), fnArg, arg)
 		}
-		l.AfterArg(0.5, fnArg, arg) // before the tail: onto the heap
+		l.AfterArg(0.5, fnArg, arg) // before the tail: straight into the queue
 		s.Run()
 	}
 	laneCycle() // warm the arena to nine pending events
@@ -90,7 +90,7 @@ func TestStaleHandleCannotTouchRecycledSlot(t *testing.T) {
 
 // TestCancelRemovesFromHeap verifies eager cancellation: cancelled events
 // leave the queue immediately instead of lingering until their deadline,
-// so timer-churn workloads (cancel/re-arm per ACK) keep the heap small.
+// so timer-churn workloads (cancel/re-arm per ACK) keep the queue small.
 func TestCancelRemovesFromHeap(t *testing.T) {
 	s := New()
 	var evs []Event

@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-// laneDriver interprets a byte string as a schedule: top-level ops
+// scheduleRun interprets a byte string as a schedule: top-level ops
 // schedule, cancel, cut the run with RunUntil (at a later time or at
 // exactly Now) or run it out, and every fired callback reads further bytes
 // to schedule children, call Stop or cancel. The same bytes drive three
 // queues: a Simulator that schedules every event with At/AtArg, a
 // Simulator that puts the events the bytes designate on 1–3 lanes, and
 // refQueue, a linear scan that needs no cleverness to be right. Each
-// driver reads its own cursor, so the runs consume the input identically
+// run reads its own cursor, so the runs consume the input identically
 // exactly as long as they fire identically, and the first divergence shows
 // in the log.
-type laneDriver struct {
+type scheduleRun struct {
 	q      orderQueue
 	tails  []Time // the time each lane's tail would have in the laned run
 	in     []byte
@@ -26,7 +26,7 @@ type laneDriver struct {
 	log    []string
 }
 
-// runMode selects the queue a laneDriver runs on.
+// runMode selects the queue a scheduleRun runs on.
 type runMode int
 
 const (
@@ -39,8 +39,8 @@ func (m runMode) String() string {
 	return [...]string{"direct scheduling", "lanes", "the reference"}[m]
 }
 
-func newLaneDriver(in []byte, mode runMode) *laneDriver {
-	d := &laneDriver{in: in}
+func newScheduleRun(in []byte, mode runMode) *scheduleRun {
+	d := &scheduleRun{in: in}
 	n := 1 + int(d.next()%3)
 	d.tails = make([]Time, n)
 	switch mode {
@@ -58,7 +58,7 @@ func newLaneDriver(in []byte, mode runMode) *laneDriver {
 
 // next returns the next input byte, 0 once the input is exhausted (0
 // decodes to "no children, no stop, no cancel", so runs terminate).
-func (d *laneDriver) next() byte {
+func (d *scheduleRun) next() byte {
 	if d.pos >= len(d.in) {
 		return 0
 	}
@@ -71,7 +71,7 @@ func (d *laneDriver) next() byte {
 // so equal times are common; the other half give (1 + m/8)·2^e for e in
 // [-48, 11], so times spread over 2^-48 s to 2^11 s and their keys differ
 // in exponent bits as well as in the low mantissa bits.
-func (d *laneDriver) delta() Time {
+func (d *scheduleRun) delta() Time {
 	b := d.next()
 	if b < 128 {
 		return Time(b%8) * 0.25
@@ -83,7 +83,7 @@ func (d *laneDriver) delta() Time {
 // now (-0 when the clock is at zero and the input says so), the lane's
 // tail, after the tail, or now plus a step that may fall before the tail —
 // come from the input.
-func (d *laneDriver) schedule() {
+func (d *scheduleRun) schedule() {
 	c := d.next()
 	k := int(c%4) - 1
 	if k >= len(d.tails) {
@@ -124,15 +124,15 @@ func (d *laneDriver) schedule() {
 }
 
 // cancel cancels one directly scheduled event, fired or not.
-func (d *laneDriver) cancel() {
+func (d *scheduleRun) cancel() {
 	if len(d.direct) > 0 {
 		d.direct[int(d.next())%len(d.direct)].Cancel()
 	}
 }
 
-func (d *laneDriver) fireArg(arg any) { d.fire(arg.(int)) }
+func (d *scheduleRun) fireArg(arg any) { d.fire(arg.(int)) }
 
-func (d *laneDriver) fire(id int) {
+func (d *scheduleRun) fire(id int) {
 	d.log = append(d.log, fmt.Sprintf("fire %d at %v", id, d.q.now()))
 	b := d.next()
 	for i := 0; i < int(b%4); i++ {
@@ -147,13 +147,13 @@ func (d *laneDriver) fire(id int) {
 }
 
 // cut records the state a run boundary must agree on.
-func (d *laneDriver) cut(end Time) {
+func (d *scheduleRun) cut(end Time) {
 	d.q.runUntil(end)
 	processed, n := d.q.counts()
 	d.log = append(d.log, fmt.Sprintf("cut %v: now %v processed %d len %d", end, d.q.now(), processed, n))
 }
 
-func (d *laneDriver) run() []string {
+func (d *scheduleRun) run() []string {
 	for d.pos < len(d.in) {
 		switch d.next() % 8 {
 		case 0, 1, 2, 3:
@@ -172,10 +172,10 @@ func (d *laneDriver) run() []string {
 	return d.log
 }
 
-// canceler is the part of an event handle the driver uses.
+// canceler is the part of an event handle a scheduleRun uses.
 type canceler interface{ Cancel() }
 
-// orderQueue is the event queue under a laneDriver.
+// orderQueue is the event queue under a scheduleRun.
 type orderQueue interface {
 	now() Time
 	at(t Time, fn func()) canceler
@@ -293,9 +293,9 @@ func (q *refQueue) runUntil(end Time) {
 // Len.
 func checkLaneOrder(t *testing.T, in []byte) {
 	t.Helper()
-	want := newLaneDriver(in, modeReference).run()
+	want := newScheduleRun(in, modeReference).run()
 	for _, mode := range []runMode{modeDirect, modeLaned} {
-		got := newLaneDriver(in, mode).run()
+		got := newScheduleRun(in, mode).run()
 		for i := 0; i < len(want) && i < len(got); i++ {
 			if got[i] != want[i] {
 				t.Fatalf("input %x: step %d: %v gives %q, the reference %q", in, i, mode, got[i], want[i])
@@ -339,7 +339,7 @@ func FuzzLaneOrder(f *testing.F) {
 }
 
 // TestLaneInterleavesWithHeap pins the tie-break by hand: equal times
-// fire in scheduling order across lanes and the heap, and a push earlier
+// fire in scheduling order across lanes and direct events, and a push earlier
 // than its lane's tail fires at its own time.
 func TestLaneInterleavesWithHeap(t *testing.T) {
 	s := New()

@@ -123,9 +123,9 @@ type Simulator struct {
 	arena []eventSlot
 	free  []int32 // recycled arena indices
 	// The radix queue. last is the key of the clock when an event last
-	// fired. Bucket b ≥ 1 holds, unordered, the entries whose key first
-	// differs from last in bit b-1 (bits.Len64(key^last) == b), and bit b
-	// of mask is set when it is non-empty. Bucket 0 holds the entries
+	// fired. Bucket b ≥ 1 holds, unordered, the entries whose highest bit
+	// differing from last is bit b-1 (bits.Len64(key^last) == b), and bit
+	// b of mask is set when it is non-empty. Bucket 0 holds the entries
 	// whose key is last, in sequence order from head0.
 	last    uint64
 	mask    uint64
@@ -302,7 +302,6 @@ func (s *Simulator) place0(id int32) {
 func (s *Simulator) remove(id int32) {
 	slot := &s.arena[id]
 	i := slot.idx
-	slot.idx = -1
 	b := bits.Len64(key(slot.at) ^ s.last)
 	q := s.buckets[b]
 	n := len(q) - 1
