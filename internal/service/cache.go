@@ -4,22 +4,25 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/scenario"
 )
 
 // artifacts is the rendered, immutable output of one completed run: a
-// small map of file name → bytes ("result.json", "summary.csv", one
+// small map of artifact name → bytes ("result.json", "summary.csv", one
 // "<kind>.csv" per requested series reduction). Rendering happens exactly
 // once, at completion, so cache hits — the million-user hot path — serve
 // pre-encoded bytes and repeated fetches of one job are byte-identical by
 // construction. The CSV artifacts share their encoders with
 // scenario.Result.WriteFiles, so they are also byte-identical to what
-// `scda-sim -scenario` writes for the same spec, seed and reps.
+// `scda-sim -scenario` writes for the same spec, seed and reps. The disk
+// cache persists the whole map as one entry file (writeEntry).
 type artifacts struct {
 	files map[string][]byte
 }
@@ -35,17 +38,6 @@ const (
 func (a *artifacts) file(name string) ([]byte, bool) {
 	b, ok := a.files[name]
 	return b, ok
-}
-
-// size is the total rendered byte count across the artifact files — the
-// same number a persisted disk-cache entry occupies, since save writes
-// exactly these bytes.
-func (a *artifacts) size() int64 {
-	var total int64
-	for _, b := range a.files {
-		total += int64(len(b))
-	}
-	return total
 }
 
 // resultWire is the JSON shape of the result endpoint's default document.
@@ -150,68 +142,167 @@ func (a *artifacts) seriesKinds() []string {
 	return kinds
 }
 
-// save persists the artifacts under dir (one file per artifact), writing
-// into a temporary sibling directory and renaming so a crashed writer
-// never leaves a half-written cache entry. A concurrent winner is fine:
-// entries are content-addressed, so whoever renames first wrote the same
-// bytes.
-func (a *artifacts) save(dir string) error {
-	parent := filepath.Dir(dir)
-	if err := os.MkdirAll(parent, 0o755); err != nil {
-		return err
+// entryMagic opens every disk-cache entry file. One entry is one file
+// named by its cache key:
+//
+//	scda-cache-entry 1
+//	<name> <length>    one line per artifact, names in increasing byte order
+//	                   an empty line
+//	<bytes>            the artifacts' bytes, in the same order
+//
+// Lengths are canonical decimal (no sign, no leading zeros) and account
+// for every byte after the empty line. Equal artifacts therefore always
+// give the same file, and decodeEntry accepts exactly what writeEntry
+// writes.
+const entryMagic = "scda-cache-entry 1\n"
+
+// writeEntry writes the artifacts to w in the entry format and returns the
+// number of bytes written. The header goes first, then each artifact from
+// its own slice: no second copy of the entry is assembled.
+func (a *artifacts) writeEntry(w io.Writer) (int64, error) {
+	names := make([]string, 0, len(a.files))
+	for name := range a.files {
+		if name == "" || strings.ContainsAny(name, "/ \n") {
+			return 0, fmt.Errorf("service: artifact name %q cannot be persisted", name)
+		}
+		names = append(names, name)
 	}
-	tmp, err := os.MkdirTemp(parent, ".tmp-"+filepath.Base(dir)+"-")
+	sort.Strings(names)
+	hdr := []byte(entryMagic)
+	for _, name := range names {
+		hdr = append(hdr, name...)
+		hdr = append(hdr, ' ')
+		hdr = strconv.AppendInt(hdr, int64(len(a.files[name])), 10)
+		hdr = append(hdr, '\n')
+	}
+	hdr = append(hdr, '\n')
+	n, err := w.Write(hdr)
+	written := int64(n)
+	for _, name := range names {
+		if err != nil {
+			break
+		}
+		n, err = w.Write(a.files[name])
+		written += int64(n)
+	}
+	return written, err
+}
+
+// save persists the artifacts as one entry file at path, written under a
+// ".tmp-" sibling name and renamed into place, so a crashed writer never
+// leaves a half-written entry where a reader looks. A concurrent writer of
+// the same key is fine: entries are content-addressed, so whichever rename
+// lands last puts the same bytes in place. It returns the entry file's
+// size, header included.
+func (a *artifacts) save(path string) (int64, error) {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, err
+	}
+	f, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-")
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer os.RemoveAll(tmp)
-	for name, b := range a.files {
-		if err := os.WriteFile(filepath.Join(tmp, name), b, 0o644); err != nil {
-			return err
+	tmp := f.Name()
+	size, err := a.writeEntry(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	return size, nil
+}
+
+// decodeEntry parses an entry file. It accepts exactly what writeEntry
+// writes: the magic line, strictly increasing names with no '/' or space,
+// canonical lengths that account for every byte after the empty line, and
+// a result.json that is valid JSON. The artifacts are slices of b, not
+// copies.
+func decodeEntry(b []byte) (*artifacts, bool) {
+	rest, ok := bytes.CutPrefix(b, []byte(entryMagic))
+	if !ok {
+		return nil, false
+	}
+	type field struct {
+		name []byte
+		size int
+	}
+	// Room for a typical entry's artifacts on the stack: a damaged entry
+	// is rejected without allocating.
+	var buf [8]field
+	fields := buf[:0]
+	total := 0
+	for {
+		line, after, found := bytes.Cut(rest, []byte{'\n'})
+		if !found {
+			return nil, false
+		}
+		rest = after
+		if len(line) == 0 {
+			break
+		}
+		name, num, found := bytes.Cut(line, []byte{' '})
+		size, canonical := entryLen(num, len(rest)-total)
+		if !found || !canonical || len(name) == 0 || bytes.IndexByte(name, '/') >= 0 ||
+			(len(fields) > 0 && bytes.Compare(name, fields[len(fields)-1].name) <= 0) {
+			return nil, false
+		}
+		total += size
+		fields = append(fields, field{name, size})
+	}
+	if total != len(rest) {
+		return nil, false
+	}
+	a := &artifacts{files: make(map[string][]byte, len(fields))}
+	for _, f := range fields {
+		a.files[string(f.name)] = rest[:f.size:f.size]
+		rest = rest[f.size:]
+	}
+	if res, ok := a.files[artResult]; !ok || !json.Valid(res) {
+		return nil, false
+	}
+	return a, true
+}
+
+// entryLen parses a header length: canonical decimal (digits only, no
+// leading zero unless it is 0) and at most limit. ok is false otherwise.
+func entryLen(num []byte, limit int) (n int, ok bool) {
+	if len(num) == 0 || (num[0] == '0' && len(num) > 1) {
+		return 0, false
+	}
+	for _, c := range num {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(c-'0'); n > limit {
+			return 0, false
 		}
 	}
-	if err := os.Rename(tmp, dir); err != nil {
-		if _, statErr := os.Stat(dir); statErr == nil {
-			return nil // another writer persisted the same content first
-		}
-		return err
-	}
-	return nil
+	return n, true
 }
 
 // loadArtifacts reads a persisted cache entry back. ok is false when the
-// entry cannot be served; corrupt additionally reports that a directory
-// was present but its content is damaged — a missing or truncated or
-// non-JSON result.json — so the caller can evict it rather than leave a
-// poison entry that would fail every future load. An absent directory is
-// a plain miss (ok=false, corrupt=false): the entry was never written or
-// was legitimately evicted.
-func loadArtifacts(dir string) (a *artifacts, ok, corrupt bool) {
-	entries, err := os.ReadDir(dir)
+// entry cannot be served; corrupt additionally reports that a file was
+// present but its content is damaged (a header that does not account for
+// its bytes, a missing or non-JSON result.json), so the caller can evict
+// it rather than leave a poison entry that would fail every future load.
+// An absent file is a plain miss (ok=false, corrupt=false): the entry was
+// never written or was legitimately evicted.
+func loadArtifacts(path string) (a *artifacts, ok, corrupt bool) {
+	b, err := os.ReadFile(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, false
-		}
-		return nil, false, true
+		return nil, false, !os.IsNotExist(err)
 	}
-	a = &artifacts{files: make(map[string][]byte, len(entries))}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, false, true
-		}
-		a.files[e.Name()] = b
-	}
-	// A directory that exists but lacks a parseable result document is a
-	// half-written or bit-rotted entry: tmp+rename should make this
-	// impossible, but the cache tolerates it anyway (crashed pre-rename
-	// kernels, manual tampering, fault injection) — corruption is a miss
-	// plus an eviction, never a startup or request failure.
-	res, ok := a.files[artResult]
-	if !ok || !json.Valid(res) {
+	// tmp+rename should make a damaged entry impossible, but the cache
+	// tolerates one anyway (crashed pre-rename kernels, manual tampering,
+	// fault injection): corruption is a miss plus an eviction, never a
+	// startup or request failure.
+	if a, ok = decodeEntry(b); !ok {
 		return nil, false, true
 	}
 	return a, true, false

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,13 +15,15 @@ import (
 // eviction — an evicted entry is simply recomputed (and re-persisted) on
 // the next miss, so eviction can never be wrong, only slow. Writes keep
 // the tmp+rename protocol from artifacts.save, so a crash mid-eviction or
-// mid-write still never leaves a half-written entry behind.
+// mid-write still never leaves a half-written entry behind. Each entry is
+// one file named by its cache key, and the byte bound counts the files'
+// sizes, headers included.
 //
 // Ordering: entries written this process are ordered by write time;
-// entries found on disk at startup are ordered by directory mtime, which
-// is when their rename landed. The in-memory ledger (order, sizes) is
+// entries found on disk at startup are ordered by file mtime, which is
+// when their rename landed. The in-memory ledger (order, sizes) is
 // authoritative afterwards — loadArtifacts races with a concurrent
-// eviction at worst read a vanishing directory and report a miss.
+// eviction at worst read a vanishing file and report a miss.
 type diskCache struct {
 	dir        string
 	maxEntries int   // <0 = unbounded
@@ -34,10 +35,13 @@ type diskCache struct {
 	total int64
 }
 
-// newDiskCache opens the bound over dir, adopting entries a previous
-// process persisted (oldest first by mtime), sweeping stale ".tmp-"
-// write debris a crash may have left, and trimming anything beyond the
-// configured caps immediately so a restarted server starts within bounds.
+// newDiskCache opens the bound over dir, adopting the entry files a
+// previous process persisted (oldest first by mtime), sweeping stale
+// ".tmp-" write debris a crash may have left, and trimming anything beyond
+// the configured caps immediately so a restarted server starts within
+// bounds. A directory is an entry in the directory-per-entry layout of
+// earlier builds: it is removed unread, so the first start after an
+// upgrade has a cold disk cache.
 func newDiskCache(dir string, maxEntries int, maxBytes int64) *diskCache {
 	c := &diskCache{dir: dir, maxEntries: maxEntries, maxBytes: maxBytes, sizes: make(map[string]int64)}
 	entries, err := os.ReadDir(dir)
@@ -51,18 +55,18 @@ func newDiskCache(dir string, maxEntries int, maxBytes int64) *diskCache {
 	}
 	var adopt []found
 	for _, e := range entries {
-		if !e.IsDir() {
+		if strings.HasPrefix(e.Name(), ".tmp-") || e.IsDir() {
+			os.RemoveAll(filepath.Join(dir, e.Name()))
 			continue
 		}
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			os.RemoveAll(filepath.Join(dir, e.Name()))
+		if !e.Type().IsRegular() {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		adopt = append(adopt, found{key: e.Name(), size: entrySize(filepath.Join(dir, e.Name())), mod: info.ModTime().UnixNano()})
+		adopt = append(adopt, found{key: e.Name(), size: info.Size(), mod: info.ModTime().UnixNano()})
 	}
 	sort.Slice(adopt, func(i, j int) bool { return adopt[i].mod < adopt[j].mod })
 	for _, f := range adopt {
@@ -77,9 +81,9 @@ func newDiskCache(dir string, maxEntries int, maxBytes int64) *diskCache {
 }
 
 // record registers a freshly persisted entry of the given byte size (the
-// writer already knows it — entries are content-addressed, so the renamed
-// directory holds exactly the bytes that were rendered; no directory walk
-// under the lock) and evicts the oldest entries beyond the caps.
+// writer already knows it: save returns the size of the file it renamed
+// into place, so nothing is stat'ed under the lock) and evicts the oldest
+// entries beyond the caps.
 // Re-recording a key (a concurrent writer lost the rename race, or a
 // recompute after memory eviction re-saved the same content-addressed
 // bytes) keeps the original position. Safe on a nil receiver so call
@@ -101,7 +105,7 @@ func (c *diskCache) record(key string, size int64) {
 
 // evictLocked removes oldest-first until both caps hold. Caller holds
 // c.mu; removal I/O happens under the lock, which is fine off the hot
-// path (eviction is one RemoveAll per displaced entry).
+// path (eviction is one unlink per displaced entry).
 func (c *diskCache) evictLocked() {
 	for len(c.order) > 0 {
 		overEntries := c.maxEntries >= 0 && len(c.order) > c.maxEntries
@@ -113,14 +117,14 @@ func (c *diskCache) evictLocked() {
 		c.order = c.order[1:]
 		c.total -= c.sizes[oldest]
 		delete(c.sizes, oldest)
-		os.RemoveAll(filepath.Join(c.dir, oldest))
+		os.Remove(filepath.Join(c.dir, oldest))
 	}
 }
 
 // forget evicts one entry by key — the corruption path: a load that found
-// a damaged directory removes it from the ledger and the filesystem so the
+// a damaged entry removes it from the ledger and the filesystem so the
 // next miss recomputes into a clean entry. Safe on a nil receiver and on
-// keys the ledger never tracked (the directory is removed regardless, so a
+// keys the ledger never tracked (the file is removed regardless, so a
 // corrupt entry found before the disk layer adopted it is still cleared).
 func (c *diskCache) forget(key string) {
 	if c == nil {
@@ -138,7 +142,7 @@ func (c *diskCache) forget(key string) {
 		delete(c.sizes, key)
 	}
 	c.mu.Unlock()
-	os.RemoveAll(filepath.Join(c.dir, key))
+	os.Remove(filepath.Join(c.dir, key))
 }
 
 // stats reports the tracked entry count and total bytes, for /metrics.
@@ -150,20 +154,4 @@ func (c *diskCache) stats() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.order), c.total
-}
-
-// entrySize sums the file sizes under one entry directory — used only at
-// startup adoption, where the bytes are not known in memory.
-func entrySize(dir string) int64 {
-	var total int64
-	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if info, err := d.Info(); err == nil {
-			total += info.Size()
-		}
-		return nil
-	})
-	return total
 }

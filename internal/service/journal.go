@@ -41,8 +41,9 @@ type journal struct {
 // journalEntry is the persisted form of one accepted job: everything
 // submit needs to reconstruct it.
 type journalEntry struct {
-	// ID is the job's handle in the process that accepted it (diagnostic
-	// only — recovery assigns fresh IDs).
+	// ID is the job's handle in the process that accepted it, and the
+	// entry's file is named "<ID>.json". load takes the ID from the file
+	// name, never from this field (recovery assigns fresh IDs).
 	ID string `json:"id"`
 	// Spec is the canonical scenario JSON (scenario.Spec.CanonicalJSON),
 	// re-parsed with the same strict parser at recovery.
@@ -115,6 +116,10 @@ func (jl *journal) remove(id string) {
 // load reads every journal entry, oldest job ID first (IDs are zero-padded
 // sequence numbers, so lexical order is submission order within one
 // process life). Unreadable or malformed files are skipped, not fatal.
+// Each entry's ID is its file name's stem, whatever its "id" field says:
+// recovery seeds the job ID counter from it and removes the file by it, so
+// a stale or hostile field can neither pin a file across restarts nor
+// name a file outside the journal.
 func (jl *journal) load() []journalEntry {
 	if jl == nil {
 		return nil
@@ -125,7 +130,8 @@ func (jl *journal) load() []journalEntry {
 	}
 	var out []journalEntry
 	for _, f := range files {
-		if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
+		id, isEntry := strings.CutSuffix(f.Name(), ".json")
+		if f.IsDir() || !isEntry {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(jl.dir, f.Name()))
@@ -136,6 +142,7 @@ func (jl *journal) load() []journalEntry {
 		if err := json.Unmarshal(b, &e); err != nil || len(e.Spec) == 0 {
 			continue
 		}
+		e.ID = id
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

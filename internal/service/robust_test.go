@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -307,6 +308,129 @@ func TestJournalSurvivesAbandonedService(t *testing.T) {
 	svc1.Close() // release the runner goroutines before the test exits
 }
 
+func TestJournalEntriesNamedByFile(t *testing.T) {
+	// An entry's identity is its file name, not the "id" field inside it.
+	// A stale field must not pin the file across restarts (recovered and
+	// counted again on each), and a hostile one must not make recovery
+	// delete a file outside the journal directory.
+	root := t.TempDir()
+	jdir := filepath.Join(root, "journal")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(root, "victim.json")
+	if err := os.WriteFile(victim, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	canon, err := mustParse(t, testSpec).CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, id := range map[string]string{"j000009.json": "elsewhere", "j000011.json": "../victim"} {
+		b, err := json.Marshal(journalEntry{ID: id, Spec: canon, Reps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(jdir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for restart := 0; restart < 3; restart++ {
+		svc := New(Config{Workers: 1, JobRunners: 1, JournalDir: jdir})
+		want := int64(0)
+		if restart == 0 {
+			want = 2
+		}
+		if got := svc.met.jobsRecovered.Load(); got != want {
+			svc.Close()
+			t.Fatalf("start %d recovered %d jobs, want %d", restart, got, want)
+		}
+		for _, st := range svc.Jobs() {
+			j, _ := svc.Job(st.ID)
+			select {
+			case <-j.Done():
+			case <-time.After(60 * time.Second):
+				svc.Close()
+				t.Fatalf("recovered job %s never finished", st.ID)
+			}
+		}
+		if restart == 0 {
+			// The ID counter is seeded past the highest journaled file
+			// name. The spec was just recovered, so this submit is a
+			// cache hit and journals nothing.
+			j, err := svc.Submit(mustParse(t, testSpec), 1, 0)
+			if err != nil {
+				svc.Close()
+				t.Fatal(err)
+			}
+			if j.ID <= "j000011" {
+				svc.Close()
+				t.Fatalf("submit after recovery got ID %s, want one past j000011", j.ID)
+			}
+		}
+		svc.Close()
+		if files := journalFiles(t, jdir); len(files) != 0 {
+			t.Fatalf("start %d left journal entries %v", restart, files)
+		}
+		if _, err := os.Stat(victim); err != nil {
+			t.Fatalf("recovery removed a file outside the journal: %v", err)
+		}
+	}
+}
+
+// FuzzJournalEntry writes arbitrary bytes as one journal file: load never
+// panics and returns at most that one entry, named by its file, and
+// re-parsing the entry's spec never panics.
+func FuzzJournalEntry(f *testing.F) {
+	jl, err := newJournal(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	spec, err := scenario.Parse(strings.NewReader(testSpec))
+	if err != nil {
+		f.Fatal(err)
+	}
+	canon, err := spec.CanonicalJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := jl.append(journalEntry{ID: "j000007", Spec: canon, Reps: 2, Priority: 1}); err != nil {
+		f.Fatal(err)
+	}
+	entry, err := os.ReadFile(filepath.Join(jl.dir, "j000007.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(entry)
+	f.Add(entry[:len(entry)/2])
+	for _, id := range []string{"elsewhere", "../victim"} {
+		b, err := json.Marshal(journalEntry{ID: id, Spec: canon, Reps: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	// One directory per fuzz worker: inputs run one at a time in a worker,
+	// and each overwrites the same file.
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "j000007.json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		entries := (&journal{dir: dir}).load()
+		if len(entries) > 1 {
+			t.Fatalf("one file loaded as %d entries", len(entries))
+		}
+		for _, e := range entries {
+			if e.ID != "j000007" {
+				t.Fatalf("entry in j000007.json loaded with ID %q", e.ID)
+			}
+			parseEntrySpec(e)
+		}
+	})
+}
+
 func TestPanicIsolation(t *testing.T) {
 	// A panicking compute must fail its own job — stack preserved in the
 	// job error, panic counter bumped — while the service keeps answering.
@@ -489,54 +613,89 @@ func TestShutdownUnderLoad(t *testing.T) {
 }
 
 func TestDiskCacheCorruptionTolerated(t *testing.T) {
-	// A truncated result.json in a persisted entry is a cache miss plus
-	// eviction, never a startup failure or a served half-result.
-	dir := t.TempDir()
-	svc1 := New(Config{Workers: 1, JobRunners: 1, CacheDir: dir})
-	ts1 := newServerFor(t, svc1)
-	st, code := submit(t, ts1, testSpec, "?wait=true")
-	if code != http.StatusOK || st.State != StateDone {
-		t.Fatalf("warm submit: %d %+v", code, st)
+	// A truncated entry file is a cache miss plus eviction, never a
+	// startup failure or a served half-result. The cut at an artifact
+	// boundary leaves a complete, valid result.json: only the header's
+	// lengths show that the entry lost its last artifacts.
+	cases := map[string]func(resStart, resEnd int) int{
+		"mid-result":        func(resStart, resEnd int) int { return resStart + (resEnd-resStart)/2 },
+		"artifact-boundary": func(_, resEnd int) int { return resEnd },
 	}
-	ts1.Close()
-	svc1.Close()
+	for name, cut := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			svc1 := New(Config{Workers: 1, JobRunners: 1, CacheDir: dir})
+			ts1 := newServerFor(t, svc1)
+			st, code := submit(t, ts1, testSpec, "?wait=true")
+			if code != http.StatusOK || st.State != StateDone {
+				t.Fatalf("warm submit: %d %+v", code, st)
+			}
+			ts1.Close()
+			svc1.Close()
 
-	// Corrupt the persisted entry: truncate result.json mid-document.
-	resPath := filepath.Join(dir, st.Key, "result.json")
-	full, err := os.ReadFile(resPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(resPath, full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Corrupt the persisted entry: truncate the file at the cut.
+			entryPath := filepath.Join(dir, st.Key)
+			full, err := os.ReadFile(entryPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resStart, resEnd := artifactSpan(t, full, artResult)
+			at := cut(resStart, resEnd)
+			if at >= len(full) {
+				t.Fatalf("cut at %d leaves the %d-byte entry whole", at, len(full))
+			}
+			if err := os.WriteFile(entryPath, full[:at], 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Restart on the damaged directory: must come up, treat the entry as
-	// a miss, evict it, recompute cleanly.
-	svc2 := New(Config{Workers: 1, JobRunners: 1, CacheDir: dir})
-	ts2 := newServerFor(t, svc2)
-	t.Cleanup(func() {
-		ts2.Close()
-		svc2.Close()
-	})
-	st2, code := submit(t, ts2, testSpec, "?wait=true")
-	if code != http.StatusOK || st2.State != StateDone {
-		t.Fatalf("resubmit over corrupt entry: %d %+v", code, st2)
+			// Restart on the damaged directory: must come up, treat the
+			// entry as a miss, evict it, recompute cleanly.
+			svc2 := New(Config{Workers: 1, JobRunners: 1, CacheDir: dir})
+			ts2 := newServerFor(t, svc2)
+			t.Cleanup(func() {
+				ts2.Close()
+				svc2.Close()
+			})
+			st2, code := submit(t, ts2, testSpec, "?wait=true")
+			if code != http.StatusOK || st2.State != StateDone {
+				t.Fatalf("resubmit over corrupt entry: %d %+v", code, st2)
+			}
+			if st2.CacheHit {
+				t.Fatal("corrupt entry served as a cache hit")
+			}
+			fresh, err := os.ReadFile(entryPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fresh, full) {
+				t.Fatal("recomputed entry differs from the original bytes")
+			}
+		})
 	}
-	if st2.CacheHit {
-		t.Fatal("corrupt entry served as a cache hit")
+}
+
+// artifactSpan returns the byte range of the named artifact inside an
+// entry file, read from the file's header.
+func artifactSpan(t *testing.T, entry []byte, name string) (start, end int) {
+	t.Helper()
+	a, ok := decodeEntry(entry)
+	if !ok {
+		t.Fatal("entry does not decode")
 	}
-	// The recomputed entry is valid JSON again.
-	fresh, err := os.ReadFile(resPath)
-	if err != nil {
-		t.Fatal(err)
+	names := make([]string, 0, len(a.files))
+	for n := range a.files {
+		names = append(names, n)
 	}
-	if !json.Valid(fresh) {
-		t.Fatal("recomputed result.json is not valid JSON")
+	sort.Strings(names)
+	off := bytes.Index(entry, []byte("\n\n")) + 2
+	for _, n := range names {
+		if n == name {
+			return off, off + len(a.files[n])
+		}
+		off += len(a.files[n])
 	}
-	if !bytes.Equal(fresh, full) {
-		t.Fatal("recomputed result differs from the original bytes")
-	}
+	t.Fatalf("entry has no %s", name)
+	return 0, 0
 }
 
 func TestChaosDiskErrorsDoNotCorrupt(t *testing.T) {

@@ -51,7 +51,7 @@ type Config struct {
 	// JobRunners is the number of jobs executing concurrently (0 = 2).
 	JobRunners int
 	// CacheDir enables the disk cache layer under that directory
-	// (one subdirectory per cache key); "" keeps the cache memory-only.
+	// (one file per cache key); "" keeps the cache memory-only.
 	CacheDir string
 	// DefaultReps is the replicate count when a submission omits ?reps
 	// (0 = 1).
@@ -454,14 +454,14 @@ func (s *Service) submit(spec *scenario.Spec, reps, priority int, deadline time.
 // clean entry. Chaos disk-error injection also lands here: an injected
 // read failure is simply a miss.
 func (s *Service) loadFromDisk(key string) (*artifacts, bool) {
-	dir, ok := s.cacheEntryDir(key)
+	path, ok := s.cacheEntryPath(key)
 	if !ok {
 		return nil, false
 	}
 	if s.chaos.DiskErr() {
 		return nil, false
 	}
-	a, ok, corrupt := loadArtifacts(dir)
+	a, ok, corrupt := loadArtifacts(path)
 	if corrupt {
 		s.disk.forget(key)
 		return nil, false
@@ -739,13 +739,13 @@ func (s *Service) runJob(j *Job) {
 			// controller's cost estimate: hits and joins cost nothing and
 			// would drag the EWMA toward zero.
 			s.adm.observe(time.Since(t0))
-			if dir, ok := s.cacheEntryDir(j.Key); ok && !s.chaos.DiskErr() {
+			if path, ok := s.cacheEntryPath(j.Key); ok && !s.chaos.DiskErr() {
 				// Persistence is best-effort: a failed write degrades the
 				// disk layer, never the response. A successful write is
 				// registered with the disk bound so the layer cannot grow
 				// without limit.
-				if a.save(dir) == nil {
-					s.disk.record(j.Key, a.size())
+				if size, err := a.save(path); err == nil {
+					s.disk.record(j.Key, size)
 				}
 			}
 			return a, nil
@@ -848,9 +848,9 @@ func (s *Service) recordCacheKey(key string) {
 	}
 }
 
-// cacheEntryDir returns the disk-cache directory for key, ok=false when
+// cacheEntryPath returns the disk-cache entry file for key, ok=false when
 // the disk layer is disabled.
-func (s *Service) cacheEntryDir(key string) (string, bool) {
+func (s *Service) cacheEntryPath(key string) (string, bool) {
 	if s.cfg.CacheDir == "" {
 		return "", false
 	}

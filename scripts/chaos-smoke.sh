@@ -92,11 +92,22 @@ grep -q ' 429=' "$tmp/burst.out" \
 echo "   hammer: retrying client"
 "$tmp/chaosload" -base "$base" -mode hammer -n 12 -distinct 3 -duration 6 -conc 6
 echo "   cache entries are complete"
+# Each entry is one file: the magic line, "<name> <length>" lines, an
+# empty line, then exactly the listed bytes, result.json among them.
 if [ -d "$tmp/abuse-cache" ]; then
-    for d in "$tmp/abuse-cache"/*/; do
-        [ -e "$d" ] || continue
-        case "$(basename "$d")" in .tmp-*) echo "tmp debris left: $d"; exit 1 ;; esac
-        [ -s "$d/result.json" ] || { echo "incomplete cache entry: $d"; exit 1; }
+    for f in "$tmp/abuse-cache"/* "$tmp/abuse-cache"/.tmp-*; do
+        [ -e "$f" ] || continue
+        case "$(basename "$f")" in .tmp-*) echo "tmp debris left: $f"; exit 1 ;; esac
+        [ -f "$f" ] || { echo "cache entry is not a file: $f"; exit 1; }
+        [ "$(head -n 1 "$f")" = "scda-cache-entry 1" ] \
+            || { echo "cache entry lacks the magic line: $f"; exit 1; }
+        header="$(sed '/^$/q' "$f")"
+        grep -Eq '^result\.json [1-9][0-9]*$' <<<"$header" \
+            || { echo "cache entry lists no non-empty result.json: $f"; exit 1; }
+        listed="$(awk 'NR > 1 && NF == 2 { n += $2 } END { print n + 0 }' <<<"$header")"
+        body=$(( $(wc -c < "$f") - $(sed '/^$/q' "$f" | wc -c) ))
+        [ "$listed" -eq "$body" ] \
+            || { echo "incomplete cache entry: $f lists $listed bytes, holds $body"; exit 1; }
     done
 fi
 kill "$pid"; wait "$pid" 2>/dev/null || true; pid=""
