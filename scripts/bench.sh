@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh — run the hot-path micro-benchmarks and the serial figure-suite
 # benchmark, recording ns/op, B/op and allocs/op into BENCH_hotpath.json so
-# every PR leaves a perf trajectory to regress against.
+# every PR leaves a perf trajectory to regress against. Every row runs five
+# times (-count 5): ns_op, b_op and allocs_op are the medians of the
+# samples, ns_op_min and ns_op_max their range, and samples their number,
+# since one unrepeated sample can spread wider than the 20% rule below.
 #
 # Usage:  scripts/bench.sh [output.json]     (default: BENCH_hotpath.json)
 #
@@ -39,28 +42,46 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
     -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkFluidFabric|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkComputeRouting|BenchmarkLintSelf' \
-    -benchmem ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/topology ./internal/lint | tee "$tmp"
-go test -run '^$' -bench 'BenchmarkAllFiguresSerial' -benchtime=1x -benchmem . | tee -a "$tmp"
+    -benchmem -count 5 ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/topology ./internal/lint | tee "$tmp"
+go test -run '^$' -bench 'BenchmarkAllFiguresSerial' -benchtime=1x -benchmem -count 5 . | tee -a "$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go env GOVERSION)" '
-BEGIN {
-    printf "{\n  \"generated\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", date, goversion
-    first = 1
+# sorted copies field f of the samples of name into v[1..cnt], ascending.
+function sorted(f, name, cnt, v,    i, j, t) {
+    for (i = 1; i <= cnt; i++) {
+        t = val[name, i, f]
+        for (j = i - 1; j >= 1 && v[j] + 0 > t + 0; j--) v[j + 1] = v[j]
+        v[j + 1] = t
+    }
+}
+function median(f, name, cnt,    v) {
+    sorted(f, name, cnt, v)
+    if (v[1] == "null") return "null"
+    if (cnt % 2) return v[(cnt + 1) / 2]
+    return (v[cnt / 2] + v[cnt / 2 + 1]) / 2
 }
 /^Benchmark/ && / ns\/op/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    iters = $2; ns = $3
-    b = "null"; allocs = "null"
+    if (!(name in count)) order[++names] = name
+    k = ++count[name]
+    val[name, k, "iters"] = $2; val[name, k, "ns"] = $3
+    val[name, k, "b"] = "null"; val[name, k, "allocs"] = "null"
     for (i = 4; i <= NF; i++) {
-        if ($i == "B/op")      b = $(i - 1)
-        if ($i == "allocs/op") allocs = $(i - 1)
+        if ($i == "B/op")      val[name, k, "b"] = $(i - 1)
+        if ($i == "allocs/op") val[name, k, "allocs"] = $(i - 1)
     }
-    if (!first) printf ",\n"
-    first = 0
-    printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", \
-        name, iters, ns, b, allocs
 }
-END { printf "\n  ]\n}\n" }
+END {
+    printf "{\n  \"generated\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", date, goversion
+    for (r = 1; r <= names; r++) {
+        name = order[r]; cnt = count[name]
+        split("", ns); sorted("ns", name, cnt, ns)
+        printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_op\": %s, \"ns_op_min\": %s, \"ns_op_max\": %s, \"samples\": %d, \"b_op\": %s, \"allocs_op\": %s}%s\n", \
+            name, median("iters", name, cnt), median("ns", name, cnt), ns[1], ns[cnt], cnt, \
+            median("b", name, cnt), median("allocs", name, cnt), (r < names ? "," : "")
+    }
+    printf "  ]\n}\n"
+}
 ' "$tmp" > "$out"
 
 echo "wrote $out"
