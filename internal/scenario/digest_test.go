@@ -14,8 +14,8 @@ import (
 // digestFile pins the output bytes of every shipped job and sweep spec.
 // Rewrite it with `go test ./internal/scenario -run TestShippedSpecDigests
 // -update` only for a change that is meant to move simulation output, and
-// say why in the change log. fullDigestFile is its full-length tier for
-// the packet specs, rewritten the same way with `-full -update`.
+// say why in the change log. fullDigestFile is its full-length tier,
+// rewritten the same way with `-full -update`.
 const (
 	digestFile     = "testdata/digests.txt"
 	fullDigestFile = "testdata/digests-full.txt"
@@ -27,10 +27,15 @@ var full = flag.Bool("full", false, "run the full-length digest tier (TestShippe
 
 // Trimmed run lengths: packet specs arrive for at most digestPacketSeconds
 // and fluid specs for at most digestFluidSeconds of simulated time, so
-// the whole corpus stays affordable under `go test -race`.
+// the whole corpus stays affordable under `go test -race`. The full-length
+// tier runs packet specs untrimmed and fluid specs for at most
+// fullFluidSeconds: fluid-100k's full 20 s of arrivals drives past 100k
+// resident flows and takes minutes, while 2 s (~11k resident) takes
+// seconds.
 const (
 	digestPacketSeconds = 4
 	digestFluidSeconds  = 0.5
+	fullFluidSeconds    = 2
 )
 
 // trimForDigest shortens s to at most maxDur seconds of arrivals. The
@@ -90,35 +95,36 @@ func digestLines(t *testing.T, s *Spec) []string {
 // variants of the power-save base. A refactor of the engines or the
 // cluster is behaviour-preserving exactly when this file does not move.
 func TestShippedSpecDigests(t *testing.T) {
-	checkDigests(t, digestFile, func(s *Spec) bool {
+	checkDigests(t, digestFile, func(s *Spec) {
 		maxDur := float64(digestPacketSeconds)
 		if eng, _ := s.engineKind(); eng == EngineFluid {
 			maxDur = digestFluidSeconds
 		}
 		trimForDigest(s, maxDur)
-		return true
 	})
 }
 
 // TestShippedSpecDigestsFull is the full-length tier: every shipped
-// packet job and sweep spec runs untrimmed, so a last-digit change that
-// the trimmed corpus averages away (a fused multiply-add in the power
-// model, a tie fired out of order late in a run) still moves a digest.
-// It runs only under -full.
+// packet job and sweep spec runs untrimmed, and every fluid spec for
+// fullFluidSeconds of arrivals, so a last-digit change that the trimmed
+// corpus averages away (a fused multiply-add in the power model, a tie
+// fired out of order late in a run, a repair that drifts once thousands of
+// flows are resident) still moves a digest. It runs only under -full.
 func TestShippedSpecDigestsFull(t *testing.T) {
 	if !*full {
 		t.Skip("full-length tier: run with -full")
 	}
-	checkDigests(t, fullDigestFile, func(s *Spec) bool {
-		eng, _ := s.engineKind()
-		return eng == EnginePacket
+	checkDigests(t, fullDigestFile, func(s *Spec) {
+		if eng, _ := s.engineKind(); eng == EngineFluid {
+			trimForDigest(s, fullFluidSeconds)
+		}
 	})
 }
 
-// checkDigests runs every shipped job and sweep variant that prepare
-// keeps (prepare may shorten it first) and compares the CSV digests with
-// file, rewriting the file first under -update.
-func checkDigests(t *testing.T, file string, prepare func(*Spec) bool) {
+// checkDigests runs every shipped job and sweep variant, after prepare
+// has shortened it, and compares the CSV digests with file, rewriting the
+// file first under -update.
+func checkDigests(t *testing.T, file string, prepare func(*Spec)) {
 	specs, err := LoadDir(filepath.Join("..", "..", "scenarios"))
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +141,7 @@ func checkDigests(t *testing.T, file string, prepare func(*Spec) bool) {
 	}
 	var got []string
 	for _, s := range variants {
-		if !prepare(s) {
-			continue
-		}
+		prepare(s)
 		t.Run(s.Name, func(t *testing.T) {
 			if err := s.Validate(); err != nil {
 				t.Fatalf("prepared spec invalid: %v", err)
