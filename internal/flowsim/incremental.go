@@ -3,6 +3,7 @@ package flowsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -65,15 +66,6 @@ func (tr *trace) spans(r int) (frozen []*Flow, sat []int32) {
 	return tr.frozen[rd.fStart:fEnd], tr.sat[rd.sStart:sEnd]
 }
 
-// dirtEnt is a lazy min-heap entry over dirty links, keyed by the share
-// the link had when pushed. Link shares are non-decreasing within a
-// repair, so a stale entry under-estimates — peeks detect the mismatch and
-// re-push the current share, never returning a stale minimum.
-type dirtEnt struct {
-	share float64
-	link  int32
-}
-
 // Incremental maintains a weighted max-min allocation over a mutating flow
 // set, repairing it after each add/remove batch instead of re-solving from
 // scratch. The repair is exact: rates after Apply are bit-for-bit equal to
@@ -93,21 +85,24 @@ type dirtEnt struct {
 // link state, executing exactly the arithmetic, order, and tolerance of
 // Solver.fill:
 //
-//   - The most-constrained link comes from a lazy min-heap over live links.
-//     It is built at the repair's first real round from the occupied links
-//     that still carry weight, so a repair that only replays builds
-//     nothing and links the replayed prefix drained never enter it. Once
-//     half its entries have drained it is rebuilt in one pass instead of
-//     popping them one sift at a time.
+//   - The most-constrained link comes from the live-link queue, a monotone
+//     radix queue keyed by share (shareQ). It is filled at the repair's
+//     first real round from the occupied links that still carry weight, so
+//     a repair that only replays fills nothing and links the replayed
+//     prefix drained never enter it; a link that drains later leaves when
+//     its bucket is filed again.
 //   - The freeze pass visits only the flows of saturated links, in flow
-//     order: one cursor per saturated link walks that link's pos-sorted
-//     flow list, skipping flows this repair already froze, and a min-heap
-//     of cursors keyed by position merges the lists. A subtraction that
-//     saturates another link mid-pass opens a cursor on its flows past the
-//     current position, exactly as the full scan would meet them.
+//     order: admitting a link sets the frontier bits of its flows this
+//     repair has not frozen, and the pass takes the lowest set position
+//     until none is left, so a flow on several saturated links comes up
+//     once. One summary bit per 64-position word lets the pass skip empty
+//     words, so a round costs its candidates plus positions/4096 word
+//     reads, not positions/64. A subtraction that saturates another link
+//     mid-pass sets the bits of its flows past the current position,
+//     exactly as the full scan would meet them.
 //   - Only links admitted this round (stamped in satStamp) are divided to
 //     test a candidate's path for saturation: every live link at or below
-//     the round's threshold was popped or admitted mid-pass, so an
+//     the round's threshold was taken or admitted mid-pass, so an
 //     unstamped link cannot be saturated.
 //
 // Flows frozen by real rounds dirty their paths, which is how perturbation
@@ -135,10 +130,11 @@ type Incremental struct {
 	trA, trB trace
 	cur, nxt *trace // double-buffered: cur is replayed, nxt is recorded
 
-	// dirty-link marks (epoch-stamped, O(touched) reset) + lazy min-heap
+	// dirty-link marks (epoch-stamped, O(touched) reset) and the dirty
+	// links' shares
 	mark      []uint64
 	markEpoch uint64
-	dirt      []dirtEnt
+	dirt      shareQ
 
 	// persistent link→flows index: per-link flow lists in flow order (so
 	// sorted by pos), the matching left-to-right weight sums, and the list
@@ -148,31 +144,25 @@ type Incremental struct {
 	occ     []int32
 	occPos  []int32
 
-	// live-link heap, built at a repair's first real round (buildLive)
-	// and compacted once half drained (compactLive)
-	liveH   []dirtEnt // lazy min-heap over live links, by share
-	liveOK  bool      // liveH was built in this repair
-	drained int       // liveH entries whose link has drained since the build
+	// live links' shares, filled at a repair's first real round
+	live   shareQ
+	liveOK bool // live was filled in this repair
 
 	// per-round state for real rounds
 	satStamp []uint64 // per-link: round ID when admitted to the saturated set
 	roundID  uint64
-	curs     []cursor // cursor min-heap by the position under each cursor
-	satList  []int32  // links popped into the current round's saturated set
+	satList  []int32 // links taken into the current round's saturated set
+	// the freeze pass's frontier: bit p&63 of front[p>>6] is set while the
+	// flow at position p waits for the pass, and bit w&63 of
+	// frontSum[w>>6] while front[w] is non-zero. Both grow with the flow
+	// list and are all zero between passes.
+	front    []uint64
+	frontSum []uint64
 
 	changed    []*Flow
 	changedOld []float64
 	oneAdd     [1]*Flow
 	oneRm      [1]*Flow
-}
-
-// cursor walks one saturated link's flow list during a real round's
-// freeze pass: idx indexes linkFl[link], and pos caches that flow's
-// position, the cursor heap's key.
-type cursor struct {
-	pos  int
-	link int32
-	idx  int32
 }
 
 // NewIncremental creates an incremental solver over fixed link capacities.
@@ -293,6 +283,12 @@ func (in *Incremental) Apply(add, remove []*Flow) error {
 			in.weight0[l] += f.Weight
 		}
 	}
+	for len(in.front) <= len(in.flows)>>6 {
+		in.front = append(in.front, 0)
+	}
+	for len(in.frontSum) <= len(in.front)>>6 {
+		in.frontSum = append(in.frontSum, 0)
+	}
 	in.repair()
 	return nil
 }
@@ -406,16 +402,16 @@ func (in *Incremental) repair() {
 
 	// Reset each occupied link's state from the maintained weight sums
 	// (bit-identical to the fresh accumulation a full solve would do —
-	// see the type comment) and seed the dirty heap with event-path links.
-	// The live-link heap waits for the first real round.
-	in.dirt = in.dirt[:0]
+	// see the type comment) and seed the dirty queue with event-path
+	// links. The live-link queue waits for the first real round.
+	in.dirt.reset()
 	in.liveOK = false
 	for _, l := range in.occ {
 		sv.stamp[l] = sv.epoch
 		sv.cap[l] = in.caps[l]
 		sv.weight[l] = in.weight0[l]
 		if in.mark[l] == me {
-			in.pushDirt(dirtEnt{sv.cap[l] / sv.weight[l], l})
+			in.dirt.push(sv.cap[l]/sv.weight[l], l)
 		}
 	}
 
@@ -446,7 +442,6 @@ func (in *Incremental) repair() {
 			m := in.cur.rounds[r].minShare
 			span, sat := in.cur.spans(r)
 			in.nxt.beginRound(m, sat[0])
-			drains := 0
 			for i, f := range span {
 				// a replayed freeze rewrites the rate the flow already has
 				// (same weight, same recorded share), so the comparison
@@ -466,14 +461,9 @@ func (in *Incremental) repair() {
 						c = 0
 					}
 					capv[l] = c
-					w := wt[l] - fw
-					if w <= 0 && wt[l] > 0 {
-						drains++
-					}
-					wt[l] = w
+					wt[l] -= fw
 				}
 			}
-			in.drained += drains // meaningful once the live heap is built
 			r++
 			continue
 		}
@@ -514,89 +504,69 @@ func (in *Incremental) replayable(r int, ep uint64, me uint64) bool {
 			return false
 		}
 	}
-	return in.dirtyMin(me) > in.cur.rounds[r].minShare*(1+replayMargin)
-}
-
-// dirtyMin returns the minimum current share among live dirty links,
-// repairing stale heap entries on the way (stale keys under-estimate, so
-// they are popped and re-pushed with the current share).
-//
-//scda:noalloc
-func (in *Incremental) dirtyMin(me uint64) float64 {
-	sv := in.sv
-	for len(in.dirt) > 0 {
-		e := in.dirt[0]
-		l := e.link
-		if sv.stamp[l] != sv.epoch || sv.weight[l] <= 0 {
-			in.popDirt()
-			continue
-		}
-		s := sv.cap[l] / sv.weight[l]
-		if s != e.share {
-			in.popDirt()
-			in.pushDirt(dirtEnt{s, l})
-			continue
-		}
-		return s
-	}
-	return math.Inf(1)
+	s, _, ok := in.dirt.min(in.sv)
+	return !ok || s > in.cur.rounds[r].minShare*(1+replayMargin)
 }
 
 // realRound executes one true progressive-filling round from current link
-// state: take the most-constrained live link from the live-link heap
-// (building it at the repair's first real round, compacting it once half
-// drained), pop every link at the round's share into the saturated set,
-// then run the freeze pass in flow order over the saturated links' flows,
-// merged by cursor — bit-identical to Solver.fill's full scan, because
-// flows off every saturated link cannot freeze and saturation arising
-// mid-round opens a cursor on the affected link's later-positioned flows.
-// Flows frozen here dirty their paths. Returns false when no live link
-// with a finite share remains (Solver.fill stops there too).
+// state: take the most-constrained live link from the live-link queue,
+// take every link at the round's share into the saturated set, then run
+// the freeze pass in flow order over the saturated links' flows, lowest
+// frontier position first — bit-identical to Solver.fill's full scan,
+// because flows off every saturated link cannot freeze and saturation
+// arising mid-round sets the frontier bits of the affected link's
+// later-positioned flows. Flows frozen here dirty their paths. Returns
+// false when no live link with a finite share remains (Solver.fill stops
+// there too).
+//
+// The live-link queue is filled at the repair's first real round from the
+// occupied links that still carry weight, so a repair whose rounds all
+// replay fills nothing and links the replayed prefix drained never enter.
 //
 //scda:noalloc
 func (in *Incremental) realRound(ep, me uint64, remaining *int) bool {
 	sv := in.sv
 	if !in.liveOK {
-		in.buildLive()
-	} else if 2*in.drained >= len(in.liveH) && in.drained > 0 {
-		in.compactLive()
+		in.live.fill(sv, in.occ)
+		in.liveOK = true
 	}
-	minShare, argmin, ok := in.liveMin()
+	minShare, argmin, ok := in.live.min(sv)
 	if !ok || math.IsInf(minShare, 1) {
 		return false
 	}
 	in.roundID++
-	in.curs = in.curs[:0]
-	in.satList = in.satList[:0]
-	// pop every link already at the round's share into the saturated set;
-	// survivors with capacity left are re-pushed after the freeze pass
+	// take every link already at the round's share into the saturated
+	// set; survivors with capacity left are pushed back after the pass
 	thresh := minShare * (1 + satEps)
-	for {
-		s, l, ok := in.liveMin()
-		if !ok || s > thresh {
-			break
-		}
-		in.popLive()
-		in.satList = append(in.satList, l)
+	in.satList = in.live.takeUpTo(sv, thresh, in.satList[:0])
+	for _, l := range in.satList {
 		in.admitSat(l, 0, ep)
 	}
 	// the per-link slices keep their length through a repair; locals spare
 	// the pass a reload through in or sv after every call
 	capv, wt, mark := sv.cap, sv.weight, in.mark
 	stamp, rid := in.satStamp, in.roundID
+	front, sum := in.front, in.frontSum
 	froze := false
-	lastPos := 0
-	drains := 0
-	for len(in.curs) > 0 {
-		f := in.popCand(ep)
-		// a flow on two saturated links comes up once per cursor, back to
-		// back; the first visit decided it
-		if f.pos == lastPos || f.fz == ep {
-			continue
+	for s := 0; ; {
+		// the lowest frontier position: the summary names its word, and a
+		// freeze adds positions only after it, so s never moves back
+		for s < len(sum) && sum[s] == 0 {
+			s++
 		}
-		lastPos = f.pos
+		if s == len(sum) {
+			break
+		}
+		wi := s<<6 | bits.TrailingZeros64(sum[s])
+		word := front[wi]
+		pos := wi<<6 | bits.TrailingZeros64(word)
+		if word &= word - 1; word == 0 {
+			sum[s] &^= 1 << (wi & 63)
+		}
+		front[wi] = word
+		f := in.flows[pos-1]
 		// every live link at or below the threshold was admitted this
-		// round (popped above or admitted mid-pass below), so only
+		// round (taken above or admitted mid-pass below), so only
 		// stamped links need the division
 		sat := int32(-1)
 		for _, l := range f.Path {
@@ -628,23 +598,20 @@ func (in *Incremental) realRound(ep, me uint64, remaining *int) bool {
 			}
 			capv[l] = c
 			w := wt[l] - fw
-			if w <= 0 && wt[l] > 0 {
-				drains++
-			}
 			wt[l] = w
 			// the flow's freeze diverges from (or extends) the recorded
 			// history of every link it touches
 			if mark[l] != me {
 				mark[l] = me
 				if w > 0 {
-					in.pushDirt(dirtEnt{c / w, int32(l)})
+					in.dirt.push(c/w, int32(l))
 				}
 			}
 			// a subtraction can saturate another link mid-pass; its flows
 			// positioned after the current one join this round's pass,
 			// exactly as the full scan would encounter them
 			if stamp[l] != rid && w > 0 && c/w <= thresh {
-				in.admitSat(int32(l), lastPos, ep)
+				in.admitSat(int32(l), pos, ep)
 			}
 		}
 	}
@@ -654,97 +621,15 @@ func (in *Incremental) realRound(ep, me uint64, remaining *int) bool {
 		sv.weight[argmin] = 0
 	}
 	for _, l := range in.satList {
-		if sv.weight[l] > 0 {
-			in.pushLive(dirtEnt{sv.cap[l] / sv.weight[l], l})
-		} else if froze {
-			// drained by this round's subtractions while out of the heap
-			drains--
+		if w := sv.weight[l]; w > 0 {
+			in.live.push(sv.cap[l]/w, l)
 		}
 	}
-	in.drained += drains
 	return true
 }
 
-// buildLive builds the live-link heap from the occupied links that still
-// carry weight, keyed by their current shares. It runs at a repair's
-// first real round, so a repair whose rounds all replay builds nothing and
-// links the replayed prefix drained never enter.
-//
-//scda:noalloc steady state: the heap append is amortized pool growth
-func (in *Incremental) buildLive() {
-	sv := in.sv
-	h := in.liveH[:0]
-	for _, l := range in.occ {
-		if w := sv.weight[l]; w > 0 {
-			h = append(h, dirtEnt{sv.cap[l] / w, l})
-		}
-	}
-	in.heapLive(h)
-	in.liveOK = true
-}
-
-// compactLive rebuilds the live-link heap once half its entries have
-// drained (the compaction rule Simulator.pushCompletion uses): one pass
-// keeps the entries whose links still carry weight, re-keyed to their
-// current shares, instead of one sift per drained entry as it surfaces.
-// It runs between rounds, when every live link has an entry, so the
-// result is the heap buildLive would make.
-//
-//scda:noalloc
-func (in *Incremental) compactLive() {
-	sv := in.sv
-	h := in.liveH
-	n := 0
-	for _, e := range h {
-		if w := sv.weight[e.link]; w > 0 {
-			h[n] = dirtEnt{sv.cap[e.link] / w, e.link}
-			n++
-		}
-	}
-	in.heapLive(h[:n])
-}
-
-// heapLive installs h as the live-link heap, heapified, with no drained
-// entry.
-//
-//scda:noalloc
-func (in *Incremental) heapLive(h []dirtEnt) {
-	in.liveH = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		in.siftLive(i)
-	}
-	in.drained = 0
-}
-
-// liveMin peeks the live-link heap, lazily discarding drained links and
-// re-keying entries whose share moved since they were pushed (shares only
-// rise within a repair, so a stale key under-estimates), and returns the
-// current global minimum share with its link.
-//
-//scda:noalloc
-func (in *Incremental) liveMin() (float64, int32, bool) {
-	sv := in.sv
-	for len(in.liveH) > 0 {
-		e := in.liveH[0]
-		l := e.link
-		if sv.weight[l] <= 0 {
-			in.popLive()
-			in.drained--
-			continue
-		}
-		s := sv.cap[l] / sv.weight[l]
-		if s != e.share {
-			in.liveH[0].share = s
-			in.siftLive(0)
-			continue
-		}
-		return e.share, l, true
-	}
-	return 0, -1, false
-}
-
-// admitSat adds link l to the round's saturated set and opens a cursor on
-// its first flow with pos > afterPos that this repair has not frozen.
+// admitSat adds link l to the round's saturated set and sets the frontier
+// bits of its flows with pos > afterPos that this repair has not frozen.
 // Flows at or before afterPos were already passed by this round's scan,
 // so admitting them would freeze flows the full solve's single ordered
 // pass had already skipped.
@@ -753,159 +638,204 @@ func (in *Incremental) liveMin() (float64, int32, bool) {
 func (in *Incremental) admitSat(l int32, afterPos int, ep uint64) {
 	in.satStamp[l] = in.roundID
 	fl := in.linkFl[l]
-	i := 0
 	if afterPos > 0 {
 		//scda:alloc-ok the sort.Search predicate does not escape; the compiler keeps it on the stack (0 B/op per the alloc guards)
-		i = sort.Search(len(fl), func(i int) bool { return fl[i].pos > afterPos })
+		fl = fl[sort.Search(len(fl), func(i int) bool { return fl[i].pos > afterPos }):]
 	}
-	for i < len(fl) && fl[i].fz == ep {
-		i++
-	}
-	if i < len(fl) {
-		in.pushCur(cursor{pos: fl[i].pos, link: l, idx: int32(i)})
+	front, sum := in.front, in.frontSum
+	for _, f := range fl {
+		if f.fz != ep {
+			p := f.pos
+			front[p>>6] |= 1 << (p & 63)
+			sum[p>>12] |= 1 << (p >> 6 & 63)
+		}
 	}
 }
 
-// popCand returns the flow under the lowest cursor and moves that cursor
-// to the next flow of its list this repair has not frozen, dropping the
-// cursor at the list's end.
+// shareQ is a monotone radix queue of links keyed by share (Ahuja,
+// Mehlhorn, Orlin & Tarjan, "Faster algorithms for the shortest path
+// problem", JACM 1990), the structure internal/sim orders events with. A
+// key is the float64 bits of a share, which is never negative, so keys
+// order as shares do. Bucket 0 holds every entry whose key is at or below
+// last, and bucket b ≥ 1 the entries above last whose highest bit
+// differing from last is bit b−1. Filing every key at or below last in
+// bucket 0 keeps the queue correct for pushes in any order: a link a real
+// round dirties often has a share below the dirty queue's last, and a
+// saturated link keeping a weight residue returns at share 0.
+//
+// An entry keeps the share its link had when filed. Shares only rise
+// within a repair, so a stored share under-estimates, and the queue needs
+// no update when a subtraction moves one: min drops the entries whose
+// link drained or was not reset this repair and files again those whose
+// share rose past last.
+type shareQ struct {
+	last    uint64
+	mask    uint64 // bit b set when bucket b ≥ 1 is non-empty
+	buckets [64][]shareEnt
+}
+
+// shareEnt is one queued link at the share it was filed with.
+type shareEnt struct {
+	share float64
+	link  int32
+}
+
+// reset empties the queue and moves last back to the key of share 0.
 //
 //scda:noalloc
-func (in *Incremental) popCand(ep uint64) *Flow {
-	h := in.curs
-	c := &h[0]
-	fl := in.linkFl[c.link]
-	f := fl[c.idx]
-	i := int(c.idx) + 1
-	for i < len(fl) && fl[i].fz == ep {
-		i++
+func (q *shareQ) reset() {
+	q.buckets[0] = q.buckets[0][:0]
+	for m := q.mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		q.buckets[b] = q.buckets[b][:0]
 	}
-	if i < len(fl) {
-		c.idx = int32(i)
-		c.pos = fl[i].pos
-	} else {
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		in.curs = h
-	}
-	// sift the root down (binary heap by position; a round holds few
-	// cursors)
-	n := len(h)
-	for j := 0; ; {
-		best, l, r := j, 2*j+1, 2*j+2
-		if l < n && h[l].pos < h[best].pos {
-			best = l
-		}
-		if r < n && h[r].pos < h[best].pos {
-			best = r
-		}
-		if best == j {
-			break
-		}
-		h[j], h[best] = h[best], h[j]
-		j = best
-	}
-	return f
+	q.last, q.mask = 0, 0
 }
 
-//scda:noalloc steady state: the heap append is amortized pool growth
-func (in *Incremental) pushCur(c cursor) {
-	h := append(in.curs, c)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].pos <= h[i].pos {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	in.curs = h
-}
-
-// Dirty-link min-heap by pushed share.
-
-//scda:noalloc steady state: the heap append is amortized pool growth
-func (in *Incremental) pushDirt(e dirtEnt) {
-	h := append(in.dirt, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].share <= h[i].share {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	in.dirt = h
-}
-
+// shareKey is the queue key of share s: its bits with the sign cleared,
+// so a -0 share files as +0.
+//
 //scda:noalloc
-func (in *Incremental) popDirt() {
-	h := in.dirt
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
+func shareKey(s float64) uint64 { return math.Float64bits(s) &^ (1 << 63) }
+
+// fill empties the queue and files every link of links that carries
+// weight at its current share, with last at the least of those shares, so
+// the first min finds its answer in bucket 0 without filing the rest again.
+//
+//scda:noalloc steady state: the bucket appends are amortized pool growth
+func (q *shareQ) fill(sv *Solver, links []int32) {
+	q.reset()
+	all := q.buckets[0]
+	least := math.Inf(1)
+	for _, l := range links {
+		if w := sv.weight[l]; w > 0 {
+			s := sv.cap[l] / w
+			all = append(all, shareEnt{s, l})
+			if s < least {
+				least = s
+			}
+		}
+	}
+	q.last = shareKey(least)
+	n := 0
+	for _, e := range all {
+		if shareKey(e.share) > q.last {
+			q.push(e.share, e.link) // files above bucket 0
+			continue
+		}
+		all[n] = e
+		n++
+	}
+	q.buckets[0] = all[:n]
+}
+
+// push files link l at share s.
+//
+//scda:noalloc steady state: the bucket append is amortized pool growth
+func (q *shareQ) push(s float64, l int32) {
+	b := 0
+	if k := shareKey(s); k > q.last {
+		b = bits.Len64(k^q.last) & 63
+		q.mask |= 1 << b
+	}
+	q.buckets[b] = append(q.buckets[b], shareEnt{s, l})
+}
+
+// min returns the least current share among the queued links that were
+// reset this repair and still carry weight, with its link, or ok = false
+// when none is queued. It leaves in bucket 0 exactly those links whose
+// current share is at or below last, each at that share.
+//
+//scda:noalloc
+func (q *shareQ) min(sv *Solver) (share float64, link int32, ok bool) {
 	for {
-		best, l, r := i, 2*i+1, 2*i+2
-		if l < n && h[l].share < h[best].share {
-			best = l
+		if len(q.buckets[0]) == 0 {
+			if q.mask == 0 {
+				return 0, -1, false
+			}
+			q.advance(sv)
+			continue
 		}
-		if r < n && h[r].share < h[best].share {
-			best = r
+		b0 := q.buckets[0]
+		n, best := 0, -1
+		for _, e := range b0 {
+			l := e.link
+			w := sv.weight[l]
+			if sv.stamp[l] != sv.epoch || w <= 0 {
+				continue
+			}
+			s := sv.cap[l] / w
+			if shareKey(s) > q.last {
+				q.push(s, l) // files above bucket 0
+				continue
+			}
+			b0[n] = shareEnt{s, l}
+			if best < 0 || s < b0[best].share {
+				best = n
+			}
+			n++
 		}
-		if best == i {
-			break
+		q.buckets[0] = b0[:n]
+		if best >= 0 {
+			return b0[best].share, b0[best].link, true
 		}
-		h[i], h[best] = h[best], h[i]
-		i = best
 	}
-	in.dirt = h
 }
 
-// Live-link min-heap by share (lazy; see liveMin).
-
-//scda:noalloc steady state: the heap append is amortized pool growth
-func (in *Incremental) pushLive(e dirtEnt) {
-	h := append(in.liveH, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].share <= h[i].share {
-			break
+// advance empties the lowest non-empty bucket b ≥ 1, drops the links that
+// drained or were not reset this repair, moves last to the least current
+// key among the rest, and files them again at their current shares. last
+// moves only within bucket b, where it keeps the bits above b−1 that the
+// higher buckets were filed against: if every share rose past the bucket,
+// last stays and they file higher.
+//
+//scda:noalloc
+func (q *shareQ) advance(sv *Solver) {
+	b := bits.TrailingZeros64(q.mask)
+	bq := q.buckets[b]
+	q.buckets[b] = bq[:0]
+	q.mask &^= 1 << b
+	n, least := 0, ^uint64(0)
+	for _, e := range bq {
+		l := e.link
+		if w := sv.weight[l]; sv.stamp[l] == sv.epoch && w > 0 {
+			s := sv.cap[l] / w
+			bq[n] = shareEnt{s, l}
+			n++
+			least = min(least, shareKey(s))
 		}
-		h[i], h[p] = h[p], h[i]
-		i = p
 	}
-	in.liveH = h
+	if least > q.last && bits.Len64(least^q.last) == b {
+		q.last = least
+	}
+	for _, e := range bq[:n] {
+		q.push(e.share, e.link)
+	}
 }
 
-//scda:noalloc
-func (in *Incremental) popLive() {
-	h := in.liveH
-	n := len(h) - 1
-	h[0] = h[n]
-	in.liveH = h[:n]
-	in.siftLive(0)
-}
-
-//scda:noalloc
-func (in *Incremental) siftLive(i int) {
-	h := in.liveH
-	n := len(h)
+// takeUpTo removes every queued link whose share is at most thresh and
+// appends it to out. The bucket-0 shares must be current, as min leaves
+// them; a bucket-0 entry left over is the least share and above thresh.
+//
+//scda:noalloc steady state: the out append is amortized pool growth
+func (q *shareQ) takeUpTo(sv *Solver, thresh float64, out []int32) []int32 {
 	for {
-		best, l, r := i, 2*i+1, 2*i+2
-		if l < n && h[l].share < h[best].share {
-			best = l
+		b0 := q.buckets[0]
+		n := 0
+		for _, e := range b0 {
+			if e.share <= thresh {
+				out = append(out, e.link)
+				continue
+			}
+			b0[n] = e
+			n++
 		}
-		if r < n && h[r].share < h[best].share {
-			best = r
+		q.buckets[0] = b0[:n]
+		if n > 0 {
+			return out
 		}
-		if best == i {
-			break
+		if s, _, ok := q.min(sv); !ok || s > thresh {
+			return out
 		}
-		h[i], h[best] = h[best], h[i]
-		i = best
 	}
 }

@@ -104,12 +104,12 @@ func TestIncrementalDifferentialChurn(t *testing.T) {
 // routed client→server paths on the 500-client / 200-server fabric and
 // ~800 resident flows under arrivals and departures, a quarter of them
 // same-instant batches. Unit weights drain links to exactly zero, so real
-// rounds find the live-link heap half drained and compact it, and
-// saturated links share many flows, most of them frozen by earlier rounds
-// — what the random-link tests, whose fractional weights leave residues,
-// seldom reach. Dyadic weights (½, 1, 2) drain exactly too, and their
-// unequal rates make the bits depend on the order in which the cursors
-// merge tied saturated links' flows.
+// rounds meet many drained links in the live-link queue, and saturated
+// links share many flows, most of them frozen by earlier rounds — what the
+// random-link tests, whose fractional weights leave residues, seldom
+// reach. Dyadic weights (½, 1, 2) drain exactly too, and their unequal
+// rates make the bits depend on the freeze pass visiting tied saturated
+// links' flows in position order.
 func TestIncrementalDifferentialFabric(t *testing.T) {
 	events := 1200
 	if testing.Short() {
@@ -375,7 +375,7 @@ func TestSolve10kAllocationFree(t *testing.T) {
 // requirement: a warm, Reset-reused Simulator must run a whole workload —
 // admissions, rate repairs, completions — without allocating, both the
 // 1000-flow run on the default fabric and the sim-fluid churn on the
-// 500/200 fabric, whose repairs build and compact the live-link heap.
+// 500/200 fabric, whose repairs fill and drain the live-link queue.
 func TestSimulatorSteadyStateAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
