@@ -134,16 +134,22 @@ func splitNodeID(id string) (node int, ok bool) {
 	return n, true
 }
 
+// maxJobSeq bounds the sequence numbers jobSeq accepts. No ledger mints
+// 1<<53 IDs, so a journal file named past it is foreign, and seeding the
+// counter from it would wrap the next ID negative.
+const maxJobSeq = 1 << 53
+
 // jobSeq extracts the numeric sequence from a job ID ("j000007", or the
 // ring-prefixed "n2-j000007"), for seeding the job ledger's ID counter
-// past journaled IDs; ok is false for foreign formats.
+// past journaled IDs; ok is false for foreign formats and for sequence
+// numbers at or above maxJobSeq.
 func jobSeq(id string) (int, bool) {
 	i := strings.LastIndexByte(id, 'j')
 	if i < 0 {
 		return 0, false
 	}
 	n, err := strconv.Atoi(id[i+1:])
-	if err != nil {
+	if err != nil || n >= maxJobSeq {
 		return 0, false
 	}
 	return n, true

@@ -312,7 +312,9 @@ func TestJournalEntriesNamedByFile(t *testing.T) {
 	// An entry's identity is its file name, not the "id" field inside it.
 	// A stale field must not pin the file across restarts (recovered and
 	// counted again on each), and a hostile one must not make recovery
-	// delete a file outside the journal directory.
+	// delete a file outside the journal directory. A name whose sequence
+	// number no ledger reaches is recovered like any other but must not
+	// seed the ID counter, which would wrap and mint negative IDs.
 	root := t.TempDir()
 	jdir := filepath.Join(root, "journal")
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
@@ -326,7 +328,11 @@ func TestJournalEntriesNamedByFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for file, id := range map[string]string{"j000009.json": "elsewhere", "j000011.json": "../victim"} {
+	for file, id := range map[string]string{
+		"j000009.json":              "elsewhere",
+		"j000011.json":              "../victim",
+		"j9223372036854775807.json": "j9223372036854775807",
+	} {
 		b, err := json.Marshal(journalEntry{ID: id, Spec: canon, Reps: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -339,7 +345,7 @@ func TestJournalEntriesNamedByFile(t *testing.T) {
 		svc := New(Config{Workers: 1, JobRunners: 1, JournalDir: jdir})
 		want := int64(0)
 		if restart == 0 {
-			want = 2
+			want = 3
 		}
 		if got := svc.met.jobsRecovered.Load(); got != want {
 			svc.Close()
@@ -352,6 +358,10 @@ func TestJournalEntriesNamedByFile(t *testing.T) {
 			case <-time.After(60 * time.Second):
 				svc.Close()
 				t.Fatalf("recovered job %s never finished", st.ID)
+			}
+			if n, ok := jobSeq(st.ID); !ok || n <= 0 || st.ID != fmt.Sprintf("j%06d", n) {
+				svc.Close()
+				t.Fatalf("recovered job got ID %q, want j and a positive sequence number", st.ID)
 			}
 		}
 		if restart == 0 {
