@@ -18,9 +18,7 @@ func TestShareQueueProperty(t *testing.T) {
 	const schedules, steps = 3000, 80
 	var seen shareQSeen
 	for seed := uint64(1); seed <= schedules; seed++ {
-		if !shareQSchedule(t, seed, steps, &seen) {
-			return
-		}
+		shareQSchedule(t, seed, steps, &seen)
 	}
 	// the schedules must keep reaching the cases the queue exists for
 	for name, n := range map[string]int{
@@ -43,9 +41,9 @@ type shareQSeen struct {
 	below, above, ties, rises, drains, unreset, takes int
 }
 
-// shareQSchedule runs one seeded schedule and reports whether every check
-// held.
-func shareQSchedule(t *testing.T, seed uint64, steps int, seen *shareQSeen) bool {
+// shareQSchedule runs one seeded schedule, failing the test at the first
+// step where the queue and the reference disagree.
+func shareQSchedule(t *testing.T, seed uint64, steps int, seen *shareQSeen) {
 	t.Helper()
 	const nLinks = 24
 	rng := churnRNG(seed)
@@ -97,10 +95,6 @@ func shareQSchedule(t *testing.T, seed uint64, steps int, seen *shareQSeen) bool
 		return m, ties
 	}
 	var q shareQ
-	fail := func(step int, format string, args ...any) bool {
-		t.Errorf("seed %d step %d: "+format, append([]any{seed, step}, args...)...)
-		return false
-	}
 	pick := func(want bool) int {
 		for tries := 0; tries < 8; tries++ {
 			if l := rng.intn(nLinks); queued[l] == want {
@@ -150,7 +144,7 @@ func shareQSchedule(t *testing.T, seed uint64, steps int, seen *shareQSeen) bool
 			want, ties := refMin()
 			got, link, ok := q.min(sv)
 			if ok != (ties > 0) {
-				return fail(step, "min ok = %v, reference holds %d links at the least share", ok, ties)
+				t.Fatalf("seed %d step %d: min ok = %v, reference holds %d links at the least share", seed, step, ok, ties)
 			}
 			if !ok {
 				continue
@@ -160,7 +154,7 @@ func shareQSchedule(t *testing.T, seed uint64, steps int, seen *shareQSeen) bool
 			}
 			l := int(link)
 			if got != want || !queued[l] || !valid(l) || math.Float64bits(cur(l)) != math.Float64bits(got) {
-				return fail(step, "min = (%v, link %d), reference least share %v", got, l, want)
+				t.Fatalf("seed %d step %d: min = (%v, link %d), reference least share %v", seed, step, got, l, want)
 			}
 			if op < 82 {
 				continue
@@ -176,7 +170,7 @@ func shareQSchedule(t *testing.T, seed uint64, steps int, seen *shareQSeen) bool
 			gotLinks := q.takeUpTo(sv, thresh, nil)
 			slices.Sort(gotLinks)
 			if !slices.Equal(gotLinks, wantLinks) {
-				return fail(step, "takeUpTo(%v) = %v, want %v", thresh, gotLinks, wantLinks)
+				t.Fatalf("seed %d step %d: takeUpTo(%v) = %v, want %v", seed, step, thresh, gotLinks, wantLinks)
 			}
 			seen.takes++
 		case op < 98: // refill from a subset of the links
@@ -194,5 +188,4 @@ func shareQSchedule(t *testing.T, seed uint64, steps int, seen *shareQSeen) bool
 			restart()
 		}
 	}
-	return true
 }
