@@ -545,6 +545,58 @@ func TestCloseRaceLosesNoJobs(t *testing.T) {
 				t.Fatalf("round %d: job %s silently dropped from the ledger", round, j.ID)
 			}
 		}
+		// The search race needs many drains to show: a few hundred
+		// services cost well under a second.
+		for k := 0; k < 25; k++ {
+			closeRaceSearches(t, round, tiny)
+		}
+	}
+}
+
+// closeRaceSearches races Close against searchers that submit until the
+// drain refuses them. A search's engine joins the WaitGroup Close waits
+// on, so Close must neither panic nor return before an accepted search
+// is terminal.
+func closeRaceSearches(t *testing.T, round int, tiny string) {
+	t.Helper()
+	const searchers, most = 4, 8
+	search := strings.Replace(fmt.Sprintf(tiny, 1), `"outputs"`,
+		`"search":{"metric":"afct","parameter":"seed","values":[2,3]},"outputs"`, 1)
+	svc := New(Config{Workers: 1, JobRunners: 2})
+	var mu sync.Mutex
+	var accepted []*SearchJob
+	var wg, busy sync.WaitGroup
+	for i := 0; i < searchers; i++ {
+		wg.Add(1)
+		busy.Add(1)
+		go func() {
+			defer wg.Done()
+			looping := sync.OnceFunc(busy.Done) // Close may begin
+			defer looping()
+			for n := 0; n < most; n++ {
+				spec, err := scenario.Parse(strings.NewReader(search))
+				if err != nil {
+					t.Errorf("search spec: %v", err)
+					return
+				}
+				sj, err := svc.SubmitSearch(spec, 1, 0)
+				looping()
+				if err != nil {
+					return // refused: the drain began
+				}
+				mu.Lock()
+				accepted = append(accepted, sj)
+				mu.Unlock()
+			}
+		}()
+	}
+	busy.Wait()
+	svc.Close()
+	wg.Wait()
+	for _, sj := range accepted {
+		if !closed(sj.Done()) {
+			t.Fatalf("round %d: search %s accepted but not terminal after Close returned", round, sj.ID)
+		}
 	}
 }
 

@@ -311,7 +311,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ok is false when the response has already been written.
 func (s *Service) submitParams(w http.ResponseWriter, r *http.Request) (reps, priority int, deadline time.Time, ok bool) {
 	q := r.URL.Query()
-	reps, err := intParam(q.Get("reps"), 0)
+	reps, err := intParam(q.Get("reps"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reps: %v", err)
 		return 0, 0, time.Time{}, false
@@ -324,7 +324,7 @@ func (s *Service) submitParams(w http.ResponseWriter, r *http.Request) (reps, pr
 		httpError(w, http.StatusBadRequest, "reps: %d exceeds the limit %d", reps, s.cfg.MaxReps)
 		return 0, 0, time.Time{}, false
 	}
-	priority, err = intParam(q.Get("priority"), 0)
+	priority, err = intParam(q.Get("priority"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "priority: %v", err)
 		return 0, 0, time.Time{}, false
@@ -344,7 +344,8 @@ func (s *Service) submitParams(w http.ResponseWriter, r *http.Request) (reps, pr
 // deadlineParam parses the optional ?deadline= knob: a relative duration
 // ("30s", "2m") resolved against now, or an absolute RFC 3339 time. A
 // deadline in the past is accepted — the job simply fails fast with a
-// deadline error, which is more useful to retrying clients than a 400.
+// deadline error, which is more useful to retrying clients than a 400 —
+// except the zero instant, which every layer would read as no deadline.
 func deadlineParam(s string) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, nil
@@ -358,6 +359,9 @@ func deadlineParam(s string) (time.Time, error) {
 	t, err := time.Parse(time.RFC3339, s)
 	if err != nil {
 		return time.Time{}, fmt.Errorf("%q is neither a duration nor an RFC 3339 time", s)
+	}
+	if t.IsZero() {
+		return time.Time{}, fmt.Errorf("%s is the zero time, which reads as no deadline", s)
 	}
 	return t, nil
 }
@@ -717,10 +721,10 @@ func (s *Service) handleGroupResult(w http.ResponseWriter, r *http.Request, g *J
 	}
 }
 
-// intParam parses an optional integer query parameter.
-func intParam(s string, def int) (int, error) {
+// intParam parses an optional integer query parameter; absent is 0.
+func intParam(s string) (int, error) {
 	if s == "" {
-		return def, nil
+		return 0, nil
 	}
 	return strconv.Atoi(s)
 }

@@ -86,6 +86,9 @@ type Job struct {
 	log      eventLog[Event]
 	cancel   context.CancelFunc
 	art      *artifacts
+	// clientCancel records a cancel requested before the drain began: it
+	// settles the job's journal entry, whichever path settles the job.
+	clientCancel bool
 }
 
 // Status is the wire snapshot of a job, served by the status and list
@@ -246,7 +249,8 @@ func (j *Job) fail(msg string) {
 // transition no runner will see), a running job has its context cancelled
 // (taking effect at the next replicate boundary). ok is false —
 // cancellation impossible — for a job already in a terminal state.
-func (j *Job) requestCancel() (ok, fromQueued bool) {
+// draining says whether the drain had begun when the cancel was asked.
+func (j *Job) requestCancel(draining bool) (ok, fromQueued bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
@@ -255,6 +259,7 @@ func (j *Job) requestCancel() (ok, fromQueued bool) {
 		j.emitLocked()
 		return true, true
 	case StateRunning:
+		j.clientCancel = j.clientCancel || !draining
 		if j.cancel != nil {
 			j.cancel()
 		}
@@ -264,13 +269,15 @@ func (j *Job) requestCancel() (ok, fromQueued bool) {
 	}
 }
 
-// finishCancelled marks a running job cancelled after its context fired.
-func (j *Job) finishCancelled() {
+// finishCancelled marks a running job cancelled after its context fired,
+// and reports whether that settles its journal entry: it does when a
+// cancel was requested before the drain began.
+func (j *Job) finishCancelled() (settles bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
+	if !j.state.Terminal() {
+		j.state = StateCancelled
+		j.emitLocked()
 	}
-	j.state = StateCancelled
-	j.emitLocked()
+	return j.clientCancel
 }

@@ -579,18 +579,42 @@ func TestShutdownUnderLoad(t *testing.T) {
 	// SIGTERM mid-burst, in miniature: Close with a running job and a
 	// queued backlog. The drain must return promptly, zero the gauges,
 	// mark everything terminal, and leave the journal carrying the
-	// undrained work.
+	// undrained work. A running job whose DELETE was answered just before
+	// the drain is not undrained work, though the drain's cut is what
+	// settles it: its entry goes.
+	for _, deleted := range []bool{false, true} {
+		shutdownUnderLoad(t, deleted)
+	}
+}
+
+func shutdownUnderLoad(t *testing.T, deleted bool) {
 	jdir := t.TempDir()
 	svc := New(Config{Workers: 1, JobRunners: 1, JournalDir: jdir})
 	ts := newServerFor(t, svc)
 
-	if _, code := submit(t, ts, slowSpec, "?reps=64"); code != http.StatusCreated {
+	slow, code := submit(t, ts, slowSpec, "?reps=64")
+	if code != http.StatusCreated {
 		t.Fatalf("slow submit: %d", code)
 	}
 	for i, spec := range distinctSpecs(3, 980) {
 		if _, code := submit(t, ts, spec, ""); code != http.StatusCreated {
 			t.Fatalf("submit %d: %d", i, code)
 		}
+	}
+	want := 4
+	if deleted {
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if j, _ := svc.Job(slow.ID); j.Status().State == StateRunning {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("slow job never started")
+			}
+		}
+		if code, err := newRequest(t, http.MethodDelete, ts.URL+"/v1/jobs/"+slow.ID); err != nil || code != http.StatusOK {
+			t.Fatalf("cancel running job: %d %v", code, err)
+		}
+		want = 3
 	}
 
 	closed := make(chan struct{})
@@ -612,8 +636,8 @@ func TestShutdownUnderLoad(t *testing.T) {
 			t.Fatalf("job %s left %s after drain", st.ID, st.State)
 		}
 	}
-	if n := len(journalFiles(t, jdir)); n != 4 {
-		t.Fatalf("journal carries %d entries across the shutdown, want 4", n)
+	if n := len(journalFiles(t, jdir)); n != want {
+		t.Fatalf("journal carries %d entries across the shutdown, want %d (running job deleted: %v)", n, want, deleted)
 	}
 	// The drained service reports itself unready.
 	if b, code := get(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable || !bytes.Contains(b, []byte("draining")) {

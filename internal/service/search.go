@@ -294,11 +294,6 @@ func (s *Service) SubmitSearch(spec *scenario.Spec, reps, priority int) (*Search
 	if spec.Search == nil {
 		return nil, errors.New("service: spec has no search block")
 	}
-	if s.draining.Load() {
-		// A search's engine goroutine joins s.wg, which Close may already
-		// be waiting on; refusing here keeps the shutdown contract simple.
-		return nil, errors.New("service: draining; not accepting searches")
-	}
 	reps, err := s.resolveReps(reps)
 	if err != nil {
 		return nil, err
@@ -312,14 +307,21 @@ func (s *Service) SubmitSearch(spec *scenario.Spec, reps, priority int) (*Search
 	}
 
 	s.mu.Lock()
+	if s.draining.Load() {
+		// A search's engine goroutine joins s.wg, which Close waits on once
+		// draining is set. Close sets it under s.mu, so checking it and
+		// joining wg under s.mu are one step that Close cannot split.
+		s.mu.Unlock()
+		return nil, errors.New("service: draining; not accepting searches")
+	}
 	id := s.searches.mint()
 	sj := newSearchJob(id, p, reps, priority, &s.met)
 	s.met.searchesSubmitted.Add(1)
 	s.met.searchesActive.Add(1)
 	s.searches.publish(id, sj)
+	s.wg.Add(1)
 	s.mu.Unlock()
 
-	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		s.runSearch(sj)

@@ -168,7 +168,10 @@ type Service struct {
 	ringHTTP *http.Client
 	idPrefix string
 
-	draining atomic.Bool // set at Close: journal entries are retained, /readyz is unready
+	// draining is set at Close, under mu: cancels requested from then on
+	// retain their jobs' journal entries, /readyz is unready, and no new
+	// search joins wg.
+	draining atomic.Bool
 
 	mu       sync.Mutex
 	jobs     *ledger[*Job]
@@ -298,12 +301,15 @@ func (s *Service) recoverJobs(entries []journalEntry) {
 // next replicate boundary, and Close returns once every runner goroutine
 // has exited. Idempotent.
 //
-// Draining is not the client abandoning work: the drain flag set here
-// makes every cancellation path retain the job's journal entry, so a
-// restart with the same JournalDir picks the undrained work back up.
+// Draining is not the client abandoning work: a job the drain cancels
+// keeps its journal entry, so a restart with the same JournalDir picks the
+// undrained work back up. A cancel requested before the drain began still
+// settles its job's entry.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
+		s.mu.Lock()
 		s.draining.Store(true)
+		s.mu.Unlock()
 		if s.prober != nil {
 			s.prober.Stop()
 		}
@@ -475,7 +481,8 @@ func (s *Service) loadFromDisk(key string) (*artifacts, bool) {
 // Every cancellation path — DELETE, shutdown, a submit racing Close —
 // funnels through here so the two stay consistent.
 func (s *Service) cancelJob(j *Job) bool {
-	ok, fromQueued := j.requestCancel()
+	draining := s.draining.Load()
+	ok, fromQueued := j.requestCancel(draining)
 	if ok && fromQueued {
 		s.met.doneCancelled.Add(1)
 		s.met.jobsQueued.Add(-1)
@@ -486,7 +493,7 @@ func (s *Service) cancelJob(j *Job) bool {
 		// A client-driven cancel settles the job; a drain cancel does
 		// not — the work is still owed and the journal entry carries it
 		// across the restart.
-		if !s.draining.Load() {
+		if !draining {
 			s.journal.remove(j.ID)
 		}
 	}
@@ -768,8 +775,9 @@ func (s *Service) runJob(j *Job) {
 	}
 	// The journal entry is removed for every client-visible settlement
 	// (done, failed, a DELETE honored below) but retained when the drain
-	// cancelled the job: that work is still owed and is resubmitted by the
-	// next process. settle stays true on every arm except drain-cancel.
+	// alone cancelled the job: that work is still owed and is resubmitted
+	// by the next process. A cancel requested before the drain began
+	// settles the entry even when the drain's own cut lands first.
 	settle := true
 	var pe *runner.PanicError
 	switch {
@@ -780,8 +788,7 @@ func (s *Service) runJob(j *Job) {
 		// so honor it: the result stays cached for future submissions, but
 		// this job reports cancelled, not done.
 		s.met.doneCancelled.Add(1)
-		j.finishCancelled()
-		settle = !s.draining.Load()
+		settle = j.finishCancelled()
 	case err == nil:
 		// Includes a deadline that raced result availability: the work is
 		// already paid for, so the result is served rather than discarded.
@@ -804,8 +811,7 @@ func (s *Service) runJob(j *Job) {
 		j.fail(s.deadlineMsg(j))
 	case errors.Is(err, context.Canceled) && ctx.Err() != nil:
 		s.met.doneCancelled.Add(1)
-		j.finishCancelled()
-		settle = !s.draining.Load()
+		settle = j.finishCancelled()
 	default:
 		if errors.As(err, &pe) {
 			s.met.jobPanics.Add(1)

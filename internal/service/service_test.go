@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -726,6 +727,63 @@ func TestSubmitRejections(t *testing.T) {
 	if _, code := get(t, ts.URL+"/v1/jobs/j999999/result"); code != http.StatusNotFound {
 		t.Errorf("unknown job result: %d, want 404", code)
 	}
+}
+
+// FuzzSubmitParams feeds arbitrary ?reps, ?priority and ?deadline values
+// to the query knob parser the job, group and search endpoints share. It
+// must never panic. An accepted call yields reps in [0, MaxReps], a
+// priority within maxPriorityMagnitude and a non-zero deadline exactly
+// when ?deadline= is non-empty, and writes nothing; a refused call writes
+// one 400 carrying the JSON error envelope.
+func FuzzSubmitParams(f *testing.F) {
+	svc := New(Config{Workers: 1, JobRunners: 1})
+	f.Cleanup(svc.Close)
+	for _, knobs := range [][3]string{
+		{"", "", ""},
+		{"2", "-5", "30s"},
+		{"0", "1048576", "2000-01-01T00:00:00Z"},
+		{"65", "1048577", "soon"},
+		{"-1", "abc", "-1s"},
+		{"1.5", "-99999999999999999999", "0s"},
+		// The zero instant, at UTC and at an offset: every layer below
+		// the parser reads the zero time as no deadline at all.
+		{"", "", "0001-01-01T00:00:00Z"},
+		{"", "", "0001-01-01T01:00:00+01:00"},
+	} {
+		f.Add(knobs[0], knobs[1], knobs[2])
+	}
+	f.Fuzz(func(t *testing.T, reps, priority, deadline string) {
+		q := url.Values{"reps": {reps}, "priority": {priority}, "deadline": {deadline}}
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs?"+q.Encode(), nil)
+		gotReps, gotPriority, gotDeadline, ok := svc.submitParams(rec, r)
+		if ok {
+			if gotReps < 0 || gotReps > svc.cfg.MaxReps {
+				t.Fatalf("accepted reps %d outside [0, %d]", gotReps, svc.cfg.MaxReps)
+			}
+			if gotPriority > maxPriorityMagnitude || gotPriority < -maxPriorityMagnitude {
+				t.Fatalf("accepted priority %d beyond magnitude %d", gotPriority, maxPriorityMagnitude)
+			}
+			if gotDeadline.IsZero() != (deadline == "") {
+				t.Fatalf("?deadline=%q accepted as %v", deadline, gotDeadline)
+			}
+			if rec.Body.Len() != 0 || len(rec.Header()) != 0 {
+				t.Fatalf("accepted knobs wrote a response: %v %q", rec.Header(), rec.Body)
+			}
+			return
+		}
+		if rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("refused knobs answered %d %q, want a JSON 400", rec.Code, rec.Header().Get("Content-Type"))
+		}
+		dec := json.NewDecoder(rec.Body)
+		var env map[string]string
+		if err := dec.Decode(&env); err != nil || env["error"] == "" || len(env) != 1 {
+			t.Fatalf("refusal body is not one error envelope: %v %v", env, err)
+		}
+		if dec.More() {
+			t.Fatal("refusal wrote more than one envelope")
+		}
+	})
 }
 
 // TestSubmitNegativeDelayRejected: a custom fabric with a negative link
