@@ -36,14 +36,11 @@ type JobGroup struct {
 	// variants that were never submitted because a cancel interrupted the
 	// expansion — so status can always account for the full set.
 	names []string
-	met   *metrics
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	phase
 	jobs      []*Job // attached children, a prefix of names in order
 	skipped   int    // trailing variants never submitted (cancel mid-expansion)
-	cancelReq bool
-	err       string
-	state     State
 	doneN     int
 	failedN   int
 	cancelled int
@@ -101,17 +98,16 @@ type GroupStatus struct {
 	Jobs []Status `json:"jobs"`
 }
 
-// newJobGroup builds a group over the given variant names and emits its
-// initial queued event.
-func newJobGroup(id, name string, names []string, reps, priority int, met *metrics) *JobGroup {
+// newJobGroup builds a group over the given variant names, counted in t,
+// and emits its initial queued event.
+func newJobGroup(id, name string, names []string, reps, priority int, t *tally) *JobGroup {
 	g := &JobGroup{
 		ID:       id,
 		Name:     name,
 		Reps:     reps,
 		Priority: priority,
 		names:    names,
-		met:      met,
-		state:    StateQueued,
+		phase:    newPhase(t),
 		log:      newEventLog[GroupEvent](),
 	}
 	g.emitLocked("")
@@ -126,17 +122,16 @@ func (g *JobGroup) attach(j *Job) {
 }
 
 // childEvent observes one child job event: the first running child moves
-// the group to running, and each child's (exactly-once) terminal
-// transition updates the tallies and, once every variant is settled, the
-// group's own terminal state. Called with the child's mu held, so it must
-// not call back into any Job.
+// the group to running, even after a cancel request, and each child's
+// (exactly-once) terminal transition updates the tallies and, once every
+// variant is settled, the group's own terminal state. Called with the
+// child's mu held, so it must not call back into any Job.
 func (g *JobGroup) childEvent(j *Job, ev Event) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	switch {
 	case ev.State == StateRunning:
-		if g.state == StateQueued {
-			g.state = StateRunning
+		if g.start(nil) {
 			g.emitLocked("")
 		}
 	case ev.State.Terminal():
@@ -172,27 +167,23 @@ func (g *JobGroup) skipRemaining(n int, msg string) {
 	g.maybeFinishLocked()
 }
 
-// maybeFinishLocked settles the group once every variant is terminal:
-// failed beats cancelled beats done, the final event fires, Done() closes,
-// and the group metrics move from active to done-by-state. Caller holds
-// g.mu.
+// maybeFinishLocked is the group's one way to a terminal state, once every
+// variant is: failed beats cancelled beats done, the final event fires
+// and Done() closes. Caller holds g.mu.
 func (g *JobGroup) maybeFinishLocked() {
-	if g.state.Terminal() || g.doneN+g.failedN+g.cancelled < len(g.names) {
+	if g.doneN+g.failedN+g.cancelled < len(g.names) {
 		return
 	}
+	to := StateDone
 	switch {
 	case g.failedN > 0 || g.err != "":
-		g.state = StateFailed
-		g.met.groupsFailed.Add(1)
+		to = StateFailed
 	case g.cancelled > 0:
-		g.state = StateCancelled
-		g.met.groupsCancelled.Add(1)
-	default:
-		g.state = StateDone
-		g.met.groupsDone.Add(1)
+		to = StateCancelled
 	}
-	g.met.groupsActive.Add(-1)
-	g.emitLocked("")
+	if g.settle(to, g.err) {
+		g.emitLocked("")
+	}
 }
 
 // emitLocked appends a group event reflecting the current tallies and
@@ -225,7 +216,7 @@ func (g *JobGroup) wire() (string, any, State) {
 func (g *JobGroup) cancelPending() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.cancelReq
+	return g.cancelReq != noCancel
 }
 
 // snapshot copies the mutable aggregate under the lock; children are

@@ -290,13 +290,13 @@ func TestGroupCancelMidExpansion(t *testing.T) {
 	// The two attached children were cancelled exactly once each; the two
 	// skipped variants never became jobs, so the job counters don't see
 	// them.
-	if n := svc.met.doneCancelled.Load(); n != 2 {
+	if n := svc.met.jobs.cancelled.Load(); n != 2 {
 		t.Fatalf("doneCancelled = %d, want 2 (attached children only)", n)
 	}
-	if n := svc.met.groupsCancelled.Load(); n != 1 {
+	if n := svc.met.groups.cancelled.Load(); n != 1 {
 		t.Fatalf("groupsCancelled = %d", n)
 	}
-	if n := svc.met.groupsActive.Load(); n != 0 {
+	if n := svc.met.groups.active(); n != 0 {
 		t.Fatalf("groupsActive = %d", n)
 	}
 
@@ -524,14 +524,14 @@ func TestCloseRaceLosesNoJobs(t *testing.T) {
 		wg.Wait()
 
 		var terminalSum int64
-		terminalSum = svc.met.doneOK.Load() + svc.met.doneFailed.Load() + svc.met.doneCancelled.Load()
+		terminalSum = svc.met.jobs.done.Load() + svc.met.jobs.failed.Load() + svc.met.jobs.cancelled.Load()
 		if terminalSum != n {
 			t.Fatalf("round %d: terminal counters sum to %d, want %d (a job was lost or double-counted)", round, terminalSum, n)
 		}
-		if q := svc.met.jobsQueued.Load(); q != 0 {
+		if q := svc.met.jobs.queued.Load(); q != 0 {
 			t.Fatalf("round %d: queue gauge %d after Close", round, q)
 		}
-		if r := svc.met.jobsRunning.Load(); r != 0 {
+		if r := svc.met.jobs.running.Load(); r != 0 {
 			t.Fatalf("round %d: running gauge %d after Close", round, r)
 		}
 		for i, j := range jobs {

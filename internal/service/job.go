@@ -78,17 +78,12 @@ type Job struct {
 	// the coordinator's routing key. Immutable after newJob.
 	hash string
 
-	mu       sync.Mutex
-	state    State
-	err      string
+	mu sync.Mutex
+	phase
 	repsDone int
 	cacheHit bool
 	log      eventLog[Event]
-	cancel   context.CancelFunc
 	art      *artifacts
-	// clientCancel records a cancel requested before the drain began: it
-	// settles the job's journal entry, whichever path settles the job.
-	clientCancel bool
 }
 
 // Status is the wire snapshot of a job, served by the status and list
@@ -113,7 +108,7 @@ type Status struct {
 	Error string `json:"error,omitempty"`
 }
 
-func newJob(id string, spec *scenario.Spec, key, hash string, reps, priority int, deadline time.Time, g *JobGroup) *Job {
+func newJob(id string, spec *scenario.Spec, key, hash string, reps, priority int, deadline time.Time, g *JobGroup, t *tally) *Job {
 	j := &Job{
 		ID:       id,
 		Spec:     spec,
@@ -123,7 +118,7 @@ func newJob(id string, spec *scenario.Spec, key, hash string, reps, priority int
 		Priority: priority,
 		Deadline: deadline,
 		group:    g,
-		state:    StateQueued,
+		phase:    newPhase(t),
 		log:      newEventLog[Event](),
 	}
 	j.emitLocked() // the initial queued event
@@ -194,15 +189,13 @@ func (j *Job) eventsSince(seen int) ([]Event, <-chan struct{}, bool) {
 }
 
 // begin moves queued → running and installs the cancel hook; it fails if
-// the job was cancelled while waiting in the queue.
+// a cancel was requested while the job waited in the queue.
 func (j *Job) begin(cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.cancelReq != noCancel || !j.start(cancel) {
 		return false
 	}
-	j.state = StateRunning
-	j.cancel = cancel
 	j.emitLocked()
 	return true
 }
@@ -218,66 +211,33 @@ func (j *Job) progress(done int) {
 	j.emitLocked()
 }
 
-// complete moves the job to done with the rendered artifacts.
-func (j *Job) complete(art *artifacts, cacheHit bool) {
+// settle is the job's one way to a terminal state: done with art, failed
+// with msg, or cancelled, counted once by its phase and announced by the
+// terminal event. A cancel request wins over a result that arrives after
+// it, since the DELETE was acknowledged. settle reports whether the job's
+// work is still owed — it ended cancelled, and no cancel was requested
+// before the drain began — in which case its journal entry stays.
+func (j *Job) settle(to State, msg string, art *artifacts, cacheHit bool) (owed bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
+	if to == StateDone && j.cancelReq != noCancel {
+		to = StateCancelled
 	}
-	j.state = StateDone
-	j.art = art
-	j.cacheHit = cacheHit
-	j.repsDone = j.Reps
-	j.emitLocked()
-}
-
-// fail moves the job to failed with the error message.
-func (j *Job) fail(msg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = StateFailed
-	j.err = msg
-	j.emitLocked()
-}
-
-// requestCancel asks the job to stop: a queued job cancels immediately
-// (fromQueued reports that, so the caller can account for the terminal
-// transition no runner will see), a running job has its context cancelled
-// (taking effect at the next replicate boundary). ok is false —
-// cancellation impossible — for a job already in a terminal state.
-// draining says whether the drain had begun when the cancel was asked.
-func (j *Job) requestCancel(draining bool) (ok, fromQueued bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateQueued:
-		j.state = StateCancelled
-		j.emitLocked()
-		return true, true
-	case StateRunning:
-		j.clientCancel = j.clientCancel || !draining
-		if j.cancel != nil {
-			j.cancel()
+	if j.phase.settle(to, msg) {
+		if to == StateDone {
+			j.art, j.cacheHit, j.repsDone = art, cacheHit, j.Reps
 		}
-		return true, false
-	default:
-		return false, false
-	}
-}
-
-// finishCancelled marks a running job cancelled after its context fired,
-// and reports whether that settles its journal entry: it does when a
-// cancel was requested before the drain began.
-func (j *Job) finishCancelled() (settles bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		j.state = StateCancelled
 		j.emitLocked()
 	}
-	return j.clientCancel
+	return j.state == StateCancelled && j.cancelReq != clientCancel
+}
+
+// requestCancel asks the job to stop; draining says whether the drain had
+// begun. A running job has its context cancelled, taking effect at the
+// next replicate boundary. A queued one is the caller's to settle (queued
+// reports that): no runner will start it now. ok is false once terminal.
+func (j *Job) requestCancel(draining bool) (ok, queued bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.phase.requestCancel(draining), j.state == StateQueued
 }

@@ -27,7 +27,8 @@ import (
 // queued and running jobs to let the process exit, but those
 // cancellations are the server's doing, not the client's, so the work is
 // still owed and is recovered on restart (the shutdown-under-load
-// contract).
+// contract). A cancel requested before the drain began is the client's:
+// it settles the entry even when the drain's cut is what ends the job.
 //
 // Writes use the same tmp+rename protocol as the disk cache: a crash
 // mid-write leaves only a ".tmp-" file (swept at startup), never a

@@ -1,12 +1,126 @@
 package service
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+)
 
 // The three resource kinds — jobs, groups, searches — share one lifecycle
-// skeleton: each is minted an ID, published in a bounded ledger, streams
-// NDJSON events until a terminal state closes its Done channel, and is
-// served by one route table (see route in http.go). The generics below are
-// that skeleton; each kind keeps its own mu and its own state machine.
+// skeleton: each is minted an ID, published in a bounded ledger, moves
+// through one state machine (phase), streams NDJSON events until a
+// terminal state closes its Done channel, and is served by one route table
+// (see route in http.go). Each kind keeps its own mu, which guards its
+// phase and its event log.
+
+// tally is one kind's lifecycle accounting: the queued and running gauges
+// and the terminal counters. Only phase moves it, so every count follows
+// from a transition.
+type tally struct {
+	queued, running         atomic.Int64
+	done, failed, cancelled atomic.Int64
+}
+
+// of returns the gauge or counter of state s.
+func (t *tally) of(s State) *atomic.Int64 {
+	switch s {
+	case StateQueued:
+		return &t.queued
+	case StateRunning:
+		return &t.running
+	case StateDone:
+		return &t.done
+	case StateFailed:
+		return &t.failed
+	}
+	return &t.cancelled
+}
+
+// active counts the entries not yet terminal.
+func (t *tally) active() int64 { return t.queued.Load() + t.running.Load() }
+
+// seen counts every entry the tally has counted. It reads the states in
+// lifecycle order, and move adds to the new state before taking from the
+// old, so an entry in transit is never missed.
+func (t *tally) seen() int64 {
+	return t.queued.Load() + t.running.Load() + t.done.Load() + t.failed.Load() + t.cancelled.Load()
+}
+
+// cancelReq is what a phase knows of the cancel requests it received.
+type cancelReq uint8
+
+const (
+	noCancel cancelReq = iota
+	// drainCancel: every request came after the drain began.
+	drainCancel
+	// clientCancel: a request came before the drain began. It settles a
+	// job's journal entry, whichever path settles the job.
+	clientCancel
+)
+
+// phase is the lifecycle state machine each kind embeds: queued → running
+// → done, failed or cancelled, with the error message, the cancel request
+// and the running work's cancel hook. It has no lock: the owner's mu
+// guards it, as it guards the owner's eventLog.
+type phase struct {
+	tally     *tally
+	state     State
+	err       string
+	cancelReq cancelReq
+	cancel    context.CancelFunc // nil until start, and for groups
+}
+
+// newPhase returns a queued phase counted in t.
+func newPhase(t *tally) phase {
+	t.queued.Add(1)
+	return phase{tally: t, state: StateQueued}
+}
+
+// move shifts p to state to, moving its count in the tally.
+func (p *phase) move(to State) {
+	p.tally.of(to).Add(1)
+	p.tally.of(p.state).Add(-1)
+	p.state = to
+}
+
+// start moves queued → running and installs the cancel hook; false unless
+// queued.
+func (p *phase) start(cancel context.CancelFunc) bool {
+	if p.state != StateQueued {
+		return false
+	}
+	p.move(StateRunning)
+	p.cancel = cancel
+	return true
+}
+
+// settle moves p to the terminal state to with the error message msg,
+// counted exactly once; false once terminal.
+func (p *phase) settle(to State, msg string) bool {
+	if p.state.Terminal() {
+		return false
+	}
+	p.move(to)
+	p.err = msg
+	return true
+}
+
+// requestCancel records a cancel request, made after the drain began when
+// draining is set, and fires the cancel hook; false once terminal.
+func (p *phase) requestCancel(draining bool) bool {
+	if p.state.Terminal() {
+		return false
+	}
+	req := clientCancel
+	if draining {
+		req = drainCancel
+	}
+	p.cancelReq = max(p.cancelReq, req)
+	if p.cancel != nil {
+		p.cancel()
+	}
+	return true
+}
 
 // settler is what the ledger needs of an entry: the channel closed once
 // the entry reaches a terminal state.

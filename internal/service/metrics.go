@@ -10,37 +10,26 @@ import (
 
 // metrics is the service's dependency-free instrumentation: a handful of
 // atomic counters and gauges rendered in the Prometheus text exposition
-// format by writeTo. No client library — the format is six lines of
-// fmt.Fprintf per family, and keeping the module stdlib-only is a design
+// format by writeTo. No client library — a family is a HELP line, a TYPE
+// line and its samples, and keeping the module stdlib-only is a design
 // constraint.
 type metrics struct {
-	jobsQueued    atomic.Int64 // gauge: jobs waiting in the priority queue
-	jobsRunning   atomic.Int64 // gauge: jobs currently executing (== busy runners, one job per runner)
-	doneOK        atomic.Int64 // counter: jobs that reached state done
-	doneFailed    atomic.Int64 // counter: jobs that reached state failed
-	doneCancelled atomic.Int64 // counter: jobs that reached state cancelled
-	cacheHits     atomic.Int64 // counter: results served without recomputation
-	cacheMisses   atomic.Int64 // counter: results computed fresh
+	// The lifecycle gauges and terminal counters of each kind, moved only
+	// by the entries' phases (see lifecycle.go).
+	jobs, groups, searches tally
+
+	cacheHits   atomic.Int64 // counter: results served without recomputation
+	cacheMisses atomic.Int64 // counter: results computed fresh
 
 	shedTotal     atomic.Int64 // counter: submissions rejected 429 by admission control
 	jobsRecovered atomic.Int64 // counter: journaled jobs resubmitted at startup
 	jobPanics     atomic.Int64 // counter: job computes that panicked (recovered to failed)
 
-	groupsActive    atomic.Int64 // gauge: job groups not yet terminal
-	groupsDone      atomic.Int64 // counter: groups whose variants all completed
-	groupsFailed    atomic.Int64 // counter: groups with a failed variant or submission
-	groupsCancelled atomic.Int64 // counter: groups cancelled before completing
-
 	// Search families, rendered only once a search has been submitted so
 	// the established exposition stays byte-stable on services that never
 	// run one.
-	searchesSubmitted atomic.Int64 // counter: searches accepted (also the render gate)
-	searchesActive    atomic.Int64 // gauge: searches not yet terminal
-	searchesDone      atomic.Int64 // counter: searches that converged or exhausted budgets
-	searchesFailed    atomic.Int64 // counter: searches that failed
-	searchesCancelled atomic.Int64 // counter: searches cancelled before completing
-	searchRounds      atomic.Int64 // counter: completed search rounds
-	searchPruned      atomic.Int64 // counter: variants pruned from contention
+	searchRounds atomic.Int64 // counter: completed search rounds
+	searchPruned atomic.Int64 // counter: variants pruned from contention
 
 	// Coordinator-mode families, rendered only when the service has a
 	// ring so the single-node exposition stays byte-stable.
@@ -63,21 +52,18 @@ func (m *metrics) writeTo(w io.Writer, poolWorkers, jobRunners, cacheEntries, di
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	gauge("scda_jobs_queued", "Jobs waiting in the priority queue.", m.jobsQueued.Load())
-	gauge("scda_jobs_running", "Jobs currently executing.", m.jobsRunning.Load())
+	settled := func(name, help string, t *tally) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		for _, s := range []State{StateDone, StateFailed, StateCancelled} {
+			fmt.Fprintf(w, "%s{state=%q} %d\n", name, s, t.of(s).Load())
+		}
+	}
+	gauge("scda_jobs_queued", "Jobs waiting in the priority queue.", m.jobs.queued.Load())
+	gauge("scda_jobs_running", "Jobs currently executing.", m.jobs.running.Load())
+	settled("scda_jobs_done_total", "Jobs that reached a terminal state, by state.", &m.jobs)
 
-	fmt.Fprintf(w, "# HELP scda_jobs_done_total Jobs that reached a terminal state, by state.\n")
-	fmt.Fprintf(w, "# TYPE scda_jobs_done_total counter\n")
-	fmt.Fprintf(w, "scda_jobs_done_total{state=\"done\"} %d\n", m.doneOK.Load())
-	fmt.Fprintf(w, "scda_jobs_done_total{state=\"failed\"} %d\n", m.doneFailed.Load())
-	fmt.Fprintf(w, "scda_jobs_done_total{state=\"cancelled\"} %d\n", m.doneCancelled.Load())
-
-	gauge("scda_groups_active", "Job groups not yet in a terminal state.", m.groupsActive.Load())
-	fmt.Fprintf(w, "# HELP scda_groups_done_total Job groups that reached a terminal state, by state.\n")
-	fmt.Fprintf(w, "# TYPE scda_groups_done_total counter\n")
-	fmt.Fprintf(w, "scda_groups_done_total{state=\"done\"} %d\n", m.groupsDone.Load())
-	fmt.Fprintf(w, "scda_groups_done_total{state=\"failed\"} %d\n", m.groupsFailed.Load())
-	fmt.Fprintf(w, "scda_groups_done_total{state=\"cancelled\"} %d\n", m.groupsCancelled.Load())
+	gauge("scda_groups_active", "Job groups not yet in a terminal state.", m.groups.active())
+	settled("scda_groups_done_total", "Job groups that reached a terminal state, by state.", &m.groups)
 
 	counter("scda_shed_total", "Submissions rejected with 429 by admission control.", m.shedTotal.Load())
 	counter("scda_jobs_recovered_total", "Journaled jobs resubmitted after a restart.", m.jobsRecovered.Load())
@@ -89,19 +75,16 @@ func (m *metrics) writeTo(w io.Writer, poolWorkers, jobRunners, cacheEntries, di
 	gauge("scda_disk_cache_entries", "Entries in the bounded disk cache layer (0 when disabled).", int64(diskEntries))
 	gauge("scda_disk_cache_bytes", "Total bytes in the bounded disk cache layer (0 when disabled).", diskBytes)
 
-	// One job per runner, so busy runners == running jobs; the family is
-	// exported under the operator-facing name without duplicating state.
+	// A runner holds one job from its start to its settlement, so busy
+	// runners == jobs in the running state; the family is exported under
+	// the operator-facing name without duplicating state.
 	gauge("scda_job_runners", "Job runner goroutines (the job-level concurrency bound).", int64(jobRunners))
-	gauge("scda_job_runners_busy", "Job runners currently executing a job; busy/total is worker utilization.", m.jobsRunning.Load())
+	gauge("scda_job_runners_busy", "Job runners currently executing a job; busy/total is worker utilization.", m.jobs.running.Load())
 	gauge("scda_pool_workers", "Replicate fan-out pool width shared by all jobs.", int64(poolWorkers))
 
-	if m.searchesSubmitted.Load() > 0 {
-		gauge("scda_searches_active", "Adaptive searches not yet in a terminal state.", m.searchesActive.Load())
-		fmt.Fprintf(w, "# HELP scda_searches_done_total Adaptive searches that reached a terminal state, by state.\n")
-		fmt.Fprintf(w, "# TYPE scda_searches_done_total counter\n")
-		fmt.Fprintf(w, "scda_searches_done_total{state=\"done\"} %d\n", m.searchesDone.Load())
-		fmt.Fprintf(w, "scda_searches_done_total{state=\"failed\"} %d\n", m.searchesFailed.Load())
-		fmt.Fprintf(w, "scda_searches_done_total{state=\"cancelled\"} %d\n", m.searchesCancelled.Load())
+	if m.searches.seen() > 0 {
+		gauge("scda_searches_active", "Adaptive searches not yet in a terminal state.", m.searches.active())
+		settled("scda_searches_done_total", "Adaptive searches that reached a terminal state, by state.", &m.searches)
 		counter("scda_search_rounds_total", "Completed adaptive-search rounds.", m.searchRounds.Load())
 		counter("scda_search_variants_pruned_total", "Search variants pruned from contention.", m.searchPruned.Load())
 	}

@@ -628,7 +628,7 @@ func shutdownUnderLoad(t *testing.T, deleted bool) {
 		t.Fatal("Close did not drain")
 	}
 
-	if q, r := svc.met.jobsQueued.Load(), svc.met.jobsRunning.Load(); q != 0 || r != 0 {
+	if q, r := svc.met.jobs.queued.Load(), svc.met.jobs.running.Load(); q != 0 || r != 0 {
 		t.Fatalf("gauges after drain: queued=%d running=%d", q, r)
 	}
 	for _, st := range svc.Jobs() {

@@ -38,16 +38,13 @@ type SearchJob struct {
 	problem *search.Problem
 	met     *metrics
 
-	mu          sync.Mutex
-	state       State
-	err         string
+	mu sync.Mutex
+	phase
 	rounds      []search.Round
 	result      *search.Result
 	evaluations int
 	cacheHits   int
 	group       *JobGroup // the in-flight round's group, for cancel fan-out
-	cancelReq   bool
-	cancel      context.CancelFunc
 	log         eventLog[SearchEvent]
 }
 
@@ -113,7 +110,7 @@ func newSearchJob(id string, p *search.Problem, reps, priority int, met *metrics
 		Priority: priority,
 		problem:  p,
 		met:      met,
-		state:    StateQueued,
+		phase:    newPhase(&met.searches),
 		log:      newEventLog[SearchEvent](),
 	}
 	sj.emitLocked(nil)
@@ -185,17 +182,9 @@ func (sj *SearchJob) eventsSince(seen int) ([]SearchEvent, <-chan struct{}, bool
 func (sj *SearchJob) begin(cancel context.CancelFunc) bool {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
-	if sj.state != StateQueued || sj.cancelReq {
-		if !sj.state.Terminal() {
-			sj.state = StateCancelled
-			sj.met.searchesActive.Add(-1)
-			sj.met.searchesCancelled.Add(1)
-			sj.emitLocked(nil)
-		}
+	if sj.cancelReq != noCancel || !sj.start(cancel) {
 		return false
 	}
-	sj.state = StateRunning
-	sj.cancel = cancel
 	sj.emitLocked(nil)
 	return true
 }
@@ -226,59 +215,25 @@ func (sj *SearchJob) addTallies(evaluations, cacheHits int) {
 	sj.mu.Unlock()
 }
 
-// complete moves the search to done with its final result.
-func (sj *SearchJob) complete(res *search.Result) {
+// settle is the search's one way to a terminal state: done with res,
+// failed with msg, or cancelled.
+func (sj *SearchJob) settle(to State, msg string, res *search.Result) {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
-	if sj.state.Terminal() {
-		return
+	if sj.phase.settle(to, msg) {
+		sj.result = res
+		sj.emitLocked(nil)
 	}
-	sj.state = StateDone
-	sj.result = res
-	sj.met.searchesActive.Add(-1)
-	sj.met.searchesDone.Add(1)
-	sj.emitLocked(nil)
-}
-
-// fail moves the search to failed with the error message.
-func (sj *SearchJob) fail(msg string) {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	if sj.state.Terminal() {
-		return
-	}
-	sj.state = StateFailed
-	sj.err = msg
-	sj.met.searchesActive.Add(-1)
-	sj.met.searchesFailed.Add(1)
-	sj.emitLocked(nil)
-}
-
-// finishCancelled marks the search cancelled after its context fired.
-func (sj *SearchJob) finishCancelled() {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	if sj.state.Terminal() {
-		return
-	}
-	sj.state = StateCancelled
-	sj.met.searchesActive.Add(-1)
-	sj.met.searchesCancelled.Add(1)
-	sj.emitLocked(nil)
 }
 
 // requestCancel asks the search to stop, returning the in-flight round's
-// group (if any) for the caller to fan the cancel out to. ok is false
-// once terminal.
-func (sj *SearchJob) requestCancel() (g *JobGroup, ok bool) {
+// group (if any) for the caller to fan the cancel out to; draining says
+// whether the drain had begun. ok is false once terminal.
+func (sj *SearchJob) requestCancel(draining bool) (g *JobGroup, ok bool) {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
-	if sj.state.Terminal() {
+	if !sj.phase.requestCancel(draining) {
 		return nil, false
-	}
-	sj.cancelReq = true
-	if sj.cancel != nil {
-		sj.cancel()
 	}
 	return sj.group, true
 }
@@ -316,8 +271,6 @@ func (s *Service) SubmitSearch(spec *scenario.Spec, reps, priority int) (*Search
 	}
 	id := s.searches.mint()
 	sj := newSearchJob(id, p, reps, priority, &s.met)
-	s.met.searchesSubmitted.Add(1)
-	s.met.searchesActive.Add(1)
 	s.searches.publish(id, sj)
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -346,18 +299,19 @@ func (s *Service) runSearch(sj *SearchJob) {
 	ctx, cancel := context.WithCancel(s.base)
 	defer cancel()
 	if !sj.begin(cancel) {
+		sj.settle(StateCancelled, "", nil)
 		return
 	}
 	res, err := search.Run(ctx, sj.problem, &groupEvaluator{s: s, sj: sj}, sj.observeRound)
 	switch {
 	case err == nil:
-		sj.complete(res)
+		sj.settle(StateDone, "", res)
 	case errors.Is(err, context.Canceled):
 		// DELETE or shutdown; either way the search was stopped, not
 		// broken.
-		sj.finishCancelled()
+		sj.settle(StateCancelled, "", nil)
 	default:
-		sj.fail(err.Error())
+		sj.settle(StateFailed, err.Error(), nil)
 	}
 }
 
@@ -475,7 +429,7 @@ func (s *Service) CancelSearch(id string) (cancelled, found bool) {
 // cancelSearch requests the search's cancel and fans it out to the
 // in-flight round's group.
 func (s *Service) cancelSearch(sj *SearchJob) bool {
-	g, ok := sj.requestCancel()
+	g, ok := sj.requestCancel(s.draining.Load())
 	if g != nil {
 		s.cancelGroup(g)
 	}

@@ -417,21 +417,15 @@ func (s *Service) submit(spec *scenario.Spec, reps, priority int, deadline time.
 
 	s.mu.Lock()
 	id := s.jobs.mint()
-	j := newJob(id, spec, key, hash, reps, priority, deadline, g)
+	j := newJob(id, spec, key, hash, reps, priority, deadline, g, &s.met.jobs)
 	if g != nil {
 		g.attach(j)
 	}
 	if hit {
 		// Cache fast path: the job is born done *before* it is published
-		// in the ledger, so no DELETE can race its accounting.
+		// in the ledger, so no DELETE can race it.
 		s.met.cacheHits.Add(1)
-		s.met.doneOK.Add(1)
-		j.complete(art, true)
-	} else {
-		// Counted while still unpublished for the same reason: a cancel
-		// arriving right after publication must find the gauge already
-		// incremented before it decrements.
-		s.met.jobsQueued.Add(1)
+		j.settle(StateDone, "", art, true)
 	}
 	s.jobs.publish(id, j)
 	s.mu.Unlock()
@@ -476,24 +470,20 @@ func (s *Service) loadFromDisk(key string) (*artifacts, bool) {
 }
 
 // cancelJob requests cancellation and, when the job leaves the lifecycle
-// straight from the queue (no runner will ever see it), settles the
-// accounting: the cancelled-terminal counter and the queue-depth gauge.
-// Every cancellation path — DELETE, shutdown, a submit racing Close —
-// funnels through here so the two stay consistent.
+// straight from the queue (no runner will ever see it), settles it. Every
+// cancellation path — DELETE, group and search fan-out, shutdown, a submit
+// racing Close — funnels through here.
 func (s *Service) cancelJob(j *Job) bool {
-	draining := s.draining.Load()
-	ok, fromQueued := j.requestCancel(draining)
-	if ok && fromQueued {
-		s.met.doneCancelled.Add(1)
-		s.met.jobsQueued.Add(-1)
+	ok, queued := j.requestCancel(s.draining.Load())
+	if ok && queued {
 		// Drop the dead heap entry now: under submit+cancel churn with
 		// busy runners it would otherwise pin the job (and its spec)
 		// until a runner drained it, defeating the residency bounds.
 		s.queue.Remove(j)
-		// A client-driven cancel settles the job; a drain cancel does
-		// not — the work is still owed and the journal entry carries it
-		// across the restart.
-		if !draining {
+		// A client-driven cancel settles the journal entry; a drain
+		// cancel does not — the work is still owed and the entry carries
+		// it across the restart.
+		if !j.settle(StateCancelled, "", nil, false) {
 			s.journal.remove(j.ID)
 		}
 	}
@@ -572,9 +562,8 @@ func (s *Service) publishGroup(name string, specs []*scenario.Spec, reps, priori
 	}
 	s.mu.Lock()
 	id := s.groups.mint()
-	g := newJobGroup(id, name, names, reps, priority, &s.met)
+	g := newJobGroup(id, name, names, reps, priority, &s.met.groups)
 	g.deadline = deadline
-	s.met.groupsActive.Add(1)
 	s.groups.publish(id, g)
 	s.mu.Unlock()
 	return g
@@ -600,8 +589,8 @@ func (s *Service) submitVariants(g *JobGroup, specs []*scenario.Spec) {
 		}
 		if g.cancelPending() {
 			// The cancel raced the submission: the group's job copy may
-			// predate this child, so cancel it here; requestCancel's state
-			// machine keeps the accounting exactly-once.
+			// predate this child, so cancel it here; the child's phase
+			// settles it exactly once.
 			s.cancelJob(j)
 		}
 	}
@@ -631,11 +620,10 @@ func (s *Service) CancelGroup(id string) (cancelled, found bool) {
 // rest.
 func (s *Service) cancelGroup(g *JobGroup) bool {
 	g.mu.Lock()
-	if g.state.Terminal() {
+	if !g.requestCancel(s.draining.Load()) {
 		g.mu.Unlock()
 		return false
 	}
-	g.cancelReq = true
 	jobs := append([]*Job(nil), g.jobs...)
 	g.mu.Unlock()
 	for _, j := range jobs {
@@ -681,14 +669,8 @@ func (s *Service) runJob(j *Job) {
 	ctx, cancel := s.jobContext(j)
 	defer cancel()
 	if !j.begin(cancel) {
-		return // cancelled while queued; cancelJob already accounted for it
+		return // cancelled while queued; cancelJob settles it
 	}
-	// The queue-depth gauge tracks jobs in the queued *state*, so the
-	// decrement belongs to the state transition, not the heap pop — a
-	// cancelled job's dead heap entry must not linger in the gauge.
-	s.met.jobsQueued.Add(-1)
-	s.met.jobsRunning.Add(1)
-	defer s.met.jobsRunning.Add(-1)
 
 	var art *artifacts
 	var err error
@@ -778,7 +760,7 @@ func (s *Service) runJob(j *Job) {
 	// alone cancelled the job: that work is still owed and is resubmitted
 	// by the next process. A cancel requested before the drain began
 	// settles the entry even when the drain's own cut lands first.
-	settle := true
+	to, msg := StateDone, ""
 	var pe *runner.PanicError
 	switch {
 	case err == nil && ctx.Err() != nil && !errors.Is(ctx.Err(), context.DeadlineExceeded):
@@ -787,8 +769,7 @@ func (s *Service) runJob(j *Job) {
 		// flight, which nothing interrupts). The DELETE was acknowledged,
 		// so honor it: the result stays cached for future submissions, but
 		// this job reports cancelled, not done.
-		s.met.doneCancelled.Add(1)
-		settle = j.finishCancelled()
+		to = StateCancelled
 	case err == nil:
 		// Includes a deadline that raced result availability: the work is
 		// already paid for, so the result is served rather than discarded.
@@ -802,24 +783,19 @@ func (s *Service) runJob(j *Job) {
 		default:
 			s.met.cacheHits.Add(1)
 		}
-		s.met.doneOK.Add(1)
-		j.complete(art, !computed || diskHit || remoteHit)
 	case errors.Is(err, context.DeadlineExceeded):
 		// The job's own deadline (client ?deadline= or MaxJobRuntime) cut
 		// the run off at a replicate boundary.
-		s.met.doneFailed.Add(1)
-		j.fail(s.deadlineMsg(j))
+		to, msg = StateFailed, s.deadlineMsg(j)
 	case errors.Is(err, context.Canceled) && ctx.Err() != nil:
-		s.met.doneCancelled.Add(1)
-		settle = j.finishCancelled()
+		to = StateCancelled
 	default:
 		if errors.As(err, &pe) {
 			s.met.jobPanics.Add(1)
 		}
-		s.met.doneFailed.Add(1)
-		j.fail(err.Error())
+		to, msg = StateFailed, err.Error()
 	}
-	if settle {
+	if !j.settle(to, msg, art, !computed || diskHit || remoteHit) {
 		s.journal.remove(j.ID)
 	}
 }

@@ -864,7 +864,9 @@ func TestJobListOrder(t *testing.T) {
 func TestQueuePriorityOrder(t *testing.T) {
 	q := newJobQueue()
 	spec := &scenario.Spec{Name: "q"}
-	mk := func(id string, prio int) *Job { return newJob(id, spec, "k", "h", 1, prio, time.Time{}, nil) }
+	mk := func(id string, prio int) *Job {
+		return newJob(id, spec, "k", "h", 1, prio, time.Time{}, nil, new(tally))
+	}
 	q.Push(mk("low-1", 0))
 	q.Push(mk("high", 5))
 	q.Push(mk("low-2", 0))

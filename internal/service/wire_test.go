@@ -131,9 +131,10 @@ func TestWireGolden(t *testing.T) {
 		fmt.Fprintf(&out, "### %s %s\n", st.method, st.path)
 		recordExchange(t, &out, ts.URL, st.method, st.path, st.body)
 	}
-	// The running gauge drops after a job's done channel closes; wait for
-	// the runner to get there so the exposition is a settled snapshot.
-	for deadline := time.Now().Add(10 * time.Second); svc.met.jobsRunning.Load() != 0; {
+	// Every gauge drops as its entry settles, before the entry's done
+	// channel closes; this wait guards that the exposition is a settled
+	// snapshot.
+	for deadline := time.Now().Add(10 * time.Second); svc.met.jobs.running.Load() != 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("a job runner never went idle")
 		}
