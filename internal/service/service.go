@@ -423,7 +423,7 @@ func (s *Service) submit(spec *scenario.Spec, reps, priority int, deadline time.
 	}
 	if hit {
 		// Cache fast path: the job is born done *before* it is published
-		// in the ledger, so no DELETE can race it.
+		// in the ledger.
 		s.met.cacheHits.Add(1)
 		j.settle(StateDone, "", art, true)
 	}
