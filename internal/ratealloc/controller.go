@@ -124,7 +124,8 @@ type Flow struct {
 }
 
 // LinkState is the per-directed-link allocator state (the RM or RA
-// "associated with" the link).
+// "associated with" the link). Only the controller writes it: callers read
+// the exported fields and change a link through the controller's methods.
 type LinkState struct {
 	ID       topology.LinkID
 	Capacity float64
@@ -154,6 +155,14 @@ type LinkState struct {
 	flows []*Flow
 
 	lastArrived float64 // previous cumulative arrival reading (Simplified)
+
+	// quiet marks a link that holds no flow and whose last computed tick
+	// left it where the next tick, reading the same queue (and, in
+	// Simplified mode, the same arrival counter), would put it again; Tick
+	// skips such a link's arithmetic. lastQ is that tick's queue reading.
+	// Membership changes and SetCapacity clear the mark.
+	quiet bool
+	lastQ float64
 }
 
 // findFlow returns the index of id in the sorted flow slice, or the
@@ -172,12 +181,14 @@ func (ls *LinkState) addFlow(f *Flow) {
 	ls.flows = append(ls.flows, nil)
 	copy(ls.flows[i+1:], ls.flows[i:])
 	ls.flows[i] = f
+	ls.quiet = false
 }
 
 // removeFlow deletes the flow with the given ID if present.
 func (ls *LinkState) removeFlow(id FlowID) {
 	if i, found := ls.findFlow(id); found {
 		ls.flows = append(ls.flows[:i], ls.flows[i+1:]...)
+		ls.quiet = false
 	}
 }
 
@@ -203,9 +214,18 @@ type Controller struct {
 	links  []*LinkState
 	flows  map[FlowID]*Flow
 
-	// hostOther[h] is the CPU/disk-limited service rate of host h
+	// hostOther[h] is the CPU/disk-limited service rate of node h
 	// (R_other of section VI-A); +Inf when unconstrained.
-	hostOther map[topology.NodeID]float64
+	hostOther []float64
+
+	// changes counts stores of a new link rate R or endpoint limit
+	// R_other, the only inputs of Hierarchy.Update, which returns at once
+	// when the count has not moved since its last run. It starts at 1, so
+	// a new hierarchy's first Update runs.
+	changes uint64
+	// tickParams is Params as the last Tick saw them; quiet marks hold
+	// only while Params stay the same.
+	tickParams Params
 
 	// OnViolation, when set, receives every per-link SLA violation
 	// detected during a Tick.
@@ -238,7 +258,11 @@ func NewController(g *topology.Graph, reader QueueReader, p Params) (*Controller
 		reader:    reader,
 		links:     make([]*LinkState, len(g.Links)),
 		flows:     make(map[FlowID]*Flow),
-		hostOther: make(map[topology.NodeID]float64),
+		hostOther: make([]float64, len(g.Nodes)),
+		changes:   1,
+	}
+	for h := range c.hostOther {
+		c.hostOther[h] = math.Inf(1)
 	}
 	for i, l := range g.Links {
 		c.links[i] = &LinkState{
@@ -256,6 +280,7 @@ func NewController(g *topology.Graph, reader QueueReader, p Params) (*Controller
 func (c *Controller) SetCapacity(id topology.LinkID, capacity float64) {
 	if capacity > 0 {
 		c.links[id].Capacity = capacity
+		c.links[id].quiet = false
 	}
 }
 
@@ -265,15 +290,40 @@ func (c *Controller) Link(id topology.LinkID) *LinkState { return c.links[id] }
 // SetHostOther sets the endpoint resource limit (CPU/disk service rate in
 // bits/sec) used as R_other for flows sent or received by host h.
 func (c *Controller) SetHostOther(h topology.NodeID, rate float64) {
-	c.hostOther[h] = rate
+	if !bitsEqual(c.hostOther[h], rate) {
+		c.hostOther[h] = rate
+		c.changes++
+	}
 }
 
 // HostOther returns the endpoint limit for a host (+Inf when unset).
-func (c *Controller) HostOther(h topology.NodeID) float64 {
-	if r, ok := c.hostOther[h]; ok {
-		return r
+func (c *Controller) HostOther(h topology.NodeID) float64 { return c.hostOther[h] }
+
+// setR stores a link's advertised rate, counting a new value for
+// Hierarchy.Update.
+func (c *Controller) setR(ls *LinkState, r float64) {
+	if !bitsEqual(ls.R, r) {
+		ls.R = r
+		c.changes++
 	}
-	return math.Inf(1)
+}
+
+// bitsEqual reports whether a and b are the same float64, bit for bit: a
+// NaN matches its own bits, and -0 does not match +0.
+func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// minf returns math.Min(a, b) bit for bit. Two ordered compares settle
+// every pair of distinct non-NaN operands; ties (±0 among them) and NaNs
+// fall through to math.Min. Unlike math.Min, which amd64 implements out
+// of line, it inlines.
+func minf(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	if b < a {
+		return b
+	}
+	return math.Min(a, b)
 }
 
 // Register adds a flow to the allocator on every link of its path. Flows
@@ -371,7 +421,7 @@ func (c *Controller) SetPriority(id FlowID, p float64) {
 // flowRate recomputes Rⱼ (eq. 4): the minimum of the flow's weighted
 // fair share along its path, its demand, and the endpoint limits.
 func (c *Controller) flowRate(f *Flow) float64 {
-	r := math.Min(f.Demand, math.Min(f.SendOther, f.RecvOther))
+	r := minf(f.Demand, minf(f.SendOther, f.RecvOther))
 	for _, lid := range f.Path {
 		ls := c.links[lid]
 		share := f.MinRate + f.Priority*ls.R
@@ -386,7 +436,7 @@ func (c *Controller) flowRate(f *Flow) float64 {
 	if len(f.Path) > 0 {
 		src := c.g.Links[f.Path[0]].From
 		dst := c.g.Links[f.Path[len(f.Path)-1]].To
-		r = math.Min(r, math.Min(c.HostOther(src), c.HostOther(dst)))
+		r = minf(r, minf(c.hostOther[src], c.hostOther[dst]))
 	}
 	return r
 }
@@ -395,7 +445,9 @@ func (c *Controller) flowRate(f *Flow) float64 {
 // cached flow rates, outside the periodic tick. Used on flow registration
 // and departure so the advertised rate reflects membership changes
 // immediately (in both modes; the Simplified mode's Λ-based form needs a
-// full interval of arrivals, so events use the rate-sum form).
+// full interval of arrivals, so events use the rate-sum form). It runs
+// only right after addFlow or removeFlow on the same link, which have
+// already cleared the link's quiet mark.
 func (c *Controller) recomputeLink(ls *LinkState) {
 	q := c.reader.QueueBits(ls.ID)
 	effShared := c.Params.Alpha*ls.Capacity - c.Params.Beta*q/c.Params.Tau - ls.Reserved
@@ -410,17 +462,29 @@ func (c *Controller) recomputeLink(ls *LinkState) {
 	}
 	if nhat := sShared / ls.R; nhat > 0 {
 		ls.Nhat = nhat
-		ls.R = clamp(effShared/nhat, c.Params.MinRate, c.Params.Alpha*ls.Capacity)
+		c.setR(ls, clamp(effShared/nhat, c.Params.MinRate, c.Params.Alpha*ls.Capacity))
 	} else {
-		ls.R = effShared
+		c.setR(ls, effShared)
 	}
 }
 
 // Tick advances one control interval at simulation time now: recompute
 // every flow's bottleneck rate from last interval's link rates, then every
 // link's advertised rate, then run SLA detection.
+//
+// A quiet link (see LinkState) keeps its values: with no flow, N̂ = 0/R
+// is 0 for any R > 0, so R = αC − βQ/τ − ΣM depends only on the queue
+// reading, the capacity and the reservations, and S, N̂, the violation
+// flags and the last reported sum come out as they are. In Simplified
+// mode an unchanged arrival counter likewise gives Λ = 0 again.
 func (c *Controller) Tick(now float64) {
 	c.Ticks++
+	if c.Params != c.tickParams {
+		for _, ls := range c.links {
+			ls.quiet = false
+		}
+		c.tickParams = c.Params
+	}
 	// pass 1: flow bottleneck rates Rⱼ(t) from R(t−τ) (eq. 4)
 	for _, f := range c.flows {
 		f.Rate = c.flowRate(f)
@@ -429,6 +493,16 @@ func (c *Controller) Tick(now float64) {
 	// pass 2: link rates (eq. 2 or eq. 5) and SLA detection
 	for _, ls := range c.links {
 		q := c.reader.QueueBits(ls.ID)
+		var arrived float64
+		if c.Params.Mode == Simplified {
+			arrived = c.reader.ArrivedBits(ls.ID)
+		}
+		if ls.quiet && bitsEqual(q, ls.lastQ) && bitsEqual(arrived, ls.lastArrived) {
+			c.ControlMessages++
+			c.ControlBytesFull += 8
+			continue
+		}
+		ls.lastQ = q
 		// capRaw is the eq. 2 numerator αC − βQ/τ; the shared pool
 		// additionally excludes explicit reservations (section IV-C).
 		capRaw := c.Params.Alpha*ls.Capacity - c.Params.Beta*q/c.Params.Tau
@@ -449,22 +523,25 @@ func (c *Controller) Tick(now float64) {
 			}
 			ls.S = sTotal
 			ls.Nhat = sShared / ls.R
+			// with no flow, N̂ = +0 again next tick when R > 0 now and then
+			ls.quiet = len(ls.flows) == 0 && ls.R > 0 && effShared > 0
 			if ls.Nhat <= 0 {
 				// no demand: offer the whole shared pool (max-min: idle
 				// capacity is available to whoever asks next)
-				ls.R = effShared
+				c.setR(ls, effShared)
 			} else {
-				ls.R = clamp(effShared/ls.Nhat, c.Params.MinRate, c.Params.Alpha*ls.Capacity)
+				c.setR(ls, clamp(effShared/ls.Nhat, c.Params.MinRate, c.Params.Alpha*ls.Capacity))
 			}
 		case Simplified:
-			arrived := c.reader.ArrivedBits(ls.ID)
 			lbits := arrived - ls.lastArrived
 			ls.lastArrived = arrived
 			lambda := lbits / c.Params.Tau // Λ = L/τ
 			sTotal = lambda
 			ls.S = lambda
+			// L = +0 now gives L = A − A = +0 and S = +0 again next tick
+			ls.quiet = len(ls.flows) == 0 && math.Float64bits(lbits) == 0
 			if lambda <= 0 {
-				ls.R = effShared
+				c.setR(ls, effShared)
 			} else {
 				ls.Nhat = lambda / ls.R
 				// Damped multiplicative update: the raw eq. 5 map
@@ -472,7 +549,7 @@ func (c *Controller) Tick(now float64) {
 				// one-interval measurement delay; the square root keeps
 				// the same fixed point (Λ = effective capacity) while
 				// halving the loop gain.
-				ls.R = clamp(ls.R*math.Sqrt(effShared/lambda), c.Params.MinRate, c.Params.Alpha*ls.Capacity)
+				c.setR(ls, clamp(ls.R*math.Sqrt(effShared/lambda), c.Params.MinRate, c.Params.Alpha*ls.Capacity))
 			}
 		}
 		// Realtime SLA violation detection (section IV-A): the RM/RA

@@ -2,6 +2,7 @@ package ratealloc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -369,54 +370,82 @@ func TestControlMessageAccounting(t *testing.T) {
 	}
 }
 
+// BenchmarkTickTreeTopology times one control interval on the fig. 6
+// tree: with 200 registered flows, and idle, with none.
 func BenchmarkTickTreeTopology(b *testing.B) {
-	tt, err := topology.BuildThreeTier(topology.DefaultThreeTier())
-	if err != nil {
-		b.Fatal(err)
-	}
-	routes := topology.ComputeRouting(tt.Graph)
-	c, err := NewController(tt.Graph, newFakeReader(), DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		src := tt.Clients[i%len(tt.Clients)]
-		dst := tt.Servers[(i*3)%len(tt.Servers)]
-		path, err := routes.Path(src, dst, uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Register(&Flow{ID: FlowID(i + 1), Path: path}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Tick(float64(i))
+	for _, bc := range []struct {
+		name  string
+		flows int
+	}{{"flows=200", 200}, {"idle", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			tt, err := topology.BuildThreeTier(topology.DefaultThreeTier())
+			if err != nil {
+				b.Fatal(err)
+			}
+			routes := topology.ComputeRouting(tt.Graph)
+			c, err := NewController(tt.Graph, newFakeReader(), DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < bc.flows; i++ {
+				src := tt.Clients[i%len(tt.Clients)]
+				dst := tt.Servers[(i*3)%len(tt.Servers)]
+				path, err := routes.Path(src, dst, uint64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Register(&Flow{ID: FlowID(i + 1), Path: path}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Tick(float64(i))
+			}
+		})
 	}
 }
 
+// BenchmarkHierarchyUpdate times one fig. 2 aggregation on the fig. 6
+// tree: changed, where one host access link's rate moves before every
+// Update (its queue reading alternates and the link is recomputed), and
+// unchanged, where nothing moves between Updates.
 func BenchmarkHierarchyUpdate(b *testing.B) {
-	tt, err := topology.BuildThreeTier(topology.DefaultThreeTier())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := NewController(tt.Graph, newFakeReader(), DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	servers := map[topology.NodeID]bool{}
-	for _, s := range tt.Servers {
-		servers[s] = true
-	}
-	h, err := NewHierarchy(c, tt.Graph, servers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Tick(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Update()
+	for _, changed := range []bool{true, false} {
+		name := "unchanged"
+		if changed {
+			name = "changed"
+		}
+		b.Run(name, func(b *testing.B) {
+			tt, err := topology.BuildThreeTier(topology.DefaultThreeTier())
+			if err != nil {
+				b.Fatal(err)
+			}
+			fr := newFakeReader()
+			c, err := NewController(tt.Graph, fr, DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			servers := map[topology.NodeID]bool{}
+			for _, s := range tt.Servers {
+				servers[s] = true
+			}
+			h, err := NewHierarchy(c, tt.Graph, servers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Tick(0)
+			h.Update()
+			ls := c.Link(tt.UplinkOf[tt.Servers[0]])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if changed {
+					fr.queues[ls.ID] = float64(i&1) * 1e6
+					c.recomputeLink(ls)
+				}
+				h.Update()
+			}
+		})
 	}
 }
 
@@ -446,5 +475,30 @@ func TestVarintBytes(t *testing.T) {
 		if got := varintBytes(tc.delta); got != tc.want {
 			t.Errorf("varintBytes(%v) = %d, want %d", tc.delta, got, tc.want)
 		}
+	}
+}
+
+// TestMinfMatchesMathMin requires minf to return math.Min's bits for every
+// pair of special values and for random pairs.
+func TestMinfMatchesMathMin(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1, -1, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	check := func(a, b float64) {
+		if got, want := minf(a, b), math.Min(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("minf(%v, %v) = %v (%#x), math.Min %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, a := range special {
+		for _, b := range special {
+			check(a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		// raw bit patterns cover subnormals, NaN payloads and both signs
+		a, b := math.Float64frombits(r.Uint64()), math.Float64frombits(r.Uint64())
+		check(a, b)
+		check(a, a)
+		check(r.NormFloat64(), r.NormFloat64())
 	}
 }

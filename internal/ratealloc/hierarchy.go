@@ -84,6 +84,9 @@ type Hierarchy struct {
 	rms   map[topology.NodeID]*RM
 	hmax  int
 	hosts []*RM
+
+	// seen is the controller's change count at the last Update.
+	seen uint64
 }
 
 // NewHierarchy derives the RM/RA tree from the graph: every switch gets an
@@ -200,7 +203,17 @@ func (h *Hierarchy) AncestorAt(host topology.NodeID, level int) *RA {
 // controller link rates: an up pass computing each RA's best-server tuples
 // and a down pass filling each RM's per-level rate vectors. Call it after
 // Controller.Tick each control interval.
+//
+// The passes read only the links' R and the hosts' R_other, and run again
+// on the same inputs they write the same values, the down pass's gap fill
+// included; so when the controller has stored no new R or R_other since
+// the last Update, Update returns at once. Callers read the RM and RA
+// aggregates; only Update writes them.
 func (h *Hierarchy) Update() {
+	if h.seen == h.ctrl.changes {
+		return
+	}
+	h.seen = h.ctrl.changes
 	h.upPass(h.root)
 	for _, rm := range h.hosts {
 		h.downFill(rm)
@@ -213,10 +226,11 @@ func (h *Hierarchy) upPass(ra *RA) ServerRate3 {
 		down: ServerRate{Server: topology.None, Rate: math.Inf(-1)},
 		min:  ServerRate{Server: topology.None, Rate: math.Inf(-1)},
 	}
+	links := h.ctrl.links
 	for _, rm := range ra.RMs {
-		other := h.ctrl.HostOther(rm.Host)
-		rm.UpHat = math.Min(h.ctrl.Link(rm.UpLink).R, other)
-		rm.DownHat = math.Min(h.ctrl.Link(rm.DownLink).R, other)
+		other := h.ctrl.hostOther[rm.Host]
+		rm.UpHat = minf(links[rm.UpLink].R, other)
+		rm.DownHat = minf(links[rm.DownLink].R, other)
 		if !rm.IsServer {
 			continue
 		}
@@ -228,10 +242,10 @@ func (h *Hierarchy) upPass(ra *RA) ServerRate3 {
 	}
 	// fig. 2: R̂(h) = min(max over children, R of own link to parent)
 	if ra.UpLink != topology.None {
-		best.up.Rate = math.Min(best.up.Rate, h.ctrl.Link(ra.UpLink).R)
-		best.down.Rate = math.Min(best.down.Rate, h.ctrl.Link(ra.DownLink).R)
-		bothWays := math.Min(h.ctrl.Link(ra.UpLink).R, h.ctrl.Link(ra.DownLink).R)
-		best.min.Rate = math.Min(best.min.Rate, bothWays)
+		upR, downR := links[ra.UpLink].R, links[ra.DownLink].R
+		best.up.Rate = minf(best.up.Rate, upR)
+		best.down.Rate = minf(best.down.Rate, downR)
+		best.min.Rate = minf(best.min.Rate, minf(upR, downR))
 	}
 	ra.BestUp, ra.BestDown, ra.BestMin = best.up, best.down, best.min
 	return best
@@ -249,7 +263,7 @@ func (b *ServerRate3) consider(server topology.NodeID, upHat, downHat float64) {
 	if downHat > b.down.Rate {
 		b.down = ServerRate{server, downHat}
 	}
-	if m := math.Min(upHat, downHat); m > b.min.Rate {
+	if m := minf(upHat, downHat); m > b.min.Rate {
 		b.min = ServerRate{server, m}
 	}
 }
@@ -276,10 +290,11 @@ func (h *Hierarchy) downFill(rm *RM) {
 	level := 1
 	rm.UpToLevel[level] = up
 	rm.DownFromLevel[level] = down
+	links := h.ctrl.links
 	ra := rm.parent
 	for ra != nil && ra.Parent != nil {
-		up = math.Min(up, h.ctrl.Link(ra.UpLink).R)
-		down = math.Min(down, h.ctrl.Link(ra.DownLink).R)
+		up = minf(up, links[ra.UpLink].R)
+		down = minf(down, links[ra.DownLink].R)
 		level = ra.Parent.Level
 		if level < len(rm.UpToLevel) {
 			rm.UpToLevel[level] = up
