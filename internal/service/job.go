@@ -232,6 +232,14 @@ func (j *Job) settle(to State, msg string, art *artifacts, cacheHit bool) (owed 
 	return j.state == StateCancelled && j.cancelReq != clientCancel
 }
 
+// clientCancelled reports whether the job ended cancelled at a client's
+// request, so its work is not owed across a restart.
+func (j *Job) clientCancelled() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == StateCancelled && j.cancelReq == clientCancel
+}
+
 // requestCancel asks the job to stop; draining says whether the drain had
 // begun. A running job has its context cancelled, taking effect at the
 // next replicate boundary. A queued one is the caller's to settle (queued

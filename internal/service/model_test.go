@@ -571,11 +571,11 @@ func (m *modelRun) see(kind, id string, state State) *modelEntry {
 }
 
 // checkTerminal checks a newly terminal entry: its event stream, a job's
-// answered DELETE, and a done job's bytes. A group or search may still end
-// done after an answered DELETE when its last result was already in.
+// or search's answered DELETE, and a done job's bytes. A group may still
+// end done after an answered DELETE when its last result was already in.
 func (m *modelRun) checkTerminal(e *modelEntry) {
 	m.t.Helper()
-	if e.kind == "jobs" && e.cancelled && !e.deadline && e.state != StateCancelled {
+	if (e.kind == "jobs" || e.kind == "searches") && e.cancelled && !e.deadline && e.state != StateCancelled {
 		m.fail("DELETE on %s was answered 200, yet it ended %s", e.id, e.state)
 	}
 	if _, ok := m.events(e); !ok || e.kind != "jobs" || e.state != StateDone {

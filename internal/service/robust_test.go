@@ -795,3 +795,69 @@ func mustParse(t *testing.T, spec string) *scenario.Spec {
 	}
 	return s
 }
+
+// TestClientCancelRacingJournalAppend cancels each child of an 8-variant
+// group the moment it is attached, which can land after the child is
+// published and before its submit writes the journal entry. A client's
+// cancel settles the entry in either order, so after Close the journal
+// holds the blocker's entry alone: the drain cut that job, and its work is
+// still owed. Each round is a fresh service; the test counts the rounds
+// that kept a cancelled child's entry.
+func TestClientCancelRacingJournalAppend(t *testing.T) {
+	sweep := mustParse(t, strings.Replace(sweepSpec, "[31, 32, 33]", "[51, 52, 53, 54, 55, 56, 57, 58]", 1))
+	variants, err := sweep.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 50
+	kept := 0
+	for round := 0; round < rounds; round++ {
+		jdir := t.TempDir()
+		svc := New(Config{Workers: 1, JobRunners: 1, JournalDir: jdir})
+		blocker, err := svc.Submit(mustParse(t, slowSpec), 64, 100)
+		if err != nil {
+			svc.Close()
+			t.Fatal(err)
+		}
+		g := svc.publishGroup(sweep.Name, variants, 1, 0, time.Time{})
+		expanded := make(chan struct{})
+		cancelled := make(chan struct{})
+		go func() {
+			defer close(cancelled)
+			seen := 0
+			for {
+				done := false
+				select {
+				case <-expanded:
+					done = true
+				default:
+				}
+				jobs, _, _, _, _, _, _ := g.snapshot()
+				for ; seen < len(jobs); seen++ {
+					svc.cancelJob(jobs[seen])
+				}
+				if done {
+					return
+				}
+			}
+		}()
+		svc.submitVariants(g, variants)
+		close(expanded)
+		<-cancelled
+		select {
+		case <-g.Done():
+		case <-time.After(30 * time.Second):
+			svc.Close()
+			t.Fatal("group with every child cancelled never terminated")
+		}
+		svc.Close()
+		files := journalFiles(t, jdir)
+		if len(files) != 1 || files[0] != blocker.ID+".json" {
+			kept++
+			t.Logf("round %d: journal holds %v, want only %s.json", round, files, blocker.ID)
+		}
+	}
+	if kept > 0 {
+		t.Fatalf("%d of %d services kept the journal entry of a child a client cancelled", kept, rounds)
+	}
+}

@@ -216,10 +216,14 @@ func (sj *SearchJob) addTallies(evaluations, cacheHits int) {
 }
 
 // settle is the search's one way to a terminal state: done with res,
-// failed with msg, or cancelled.
+// failed with msg, or cancelled. As for a job, a cancel request wins over
+// a result that arrives after it, since the DELETE was acknowledged.
 func (sj *SearchJob) settle(to State, msg string, res *search.Result) {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
+	if to == StateDone && sj.cancelReq != noCancel {
+		to, res = StateCancelled, nil
+	}
 	if sj.phase.settle(to, msg) {
 		sj.result = res
 		sj.emitLocked(nil)

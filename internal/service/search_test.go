@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/search"
 )
 
 // searchSpec is testSpec plus a discrete search block: one round, two
@@ -310,4 +312,29 @@ func newRequest(t *testing.T, method, url string) (int, error) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode, nil
+}
+
+// TestSearchResultAfterDeleteEndsCancelled pins the rule a job follows:
+// a cancel request wins over a result that arrives after it, since the
+// DELETE was answered 200. The search ends cancelled and serves nothing.
+func TestSearchResultAfterDeleteEndsCancelled(t *testing.T) {
+	p, err := search.Compile(mustParse(t, searchSpec), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var met metrics
+	sj := newSearchJob("s000001", p, 1, 0, &met)
+	if !sj.begin(func() {}) {
+		t.Fatal("search did not start")
+	}
+	if _, ok := sj.requestCancel(false); !ok {
+		t.Fatal("DELETE on a running search refused")
+	}
+	sj.settle(StateDone, "", &search.Result{})
+	if st := sj.Status(); st.State != StateCancelled {
+		t.Fatalf("search ended %s after an answered DELETE, want cancelled", st.State)
+	}
+	if _, ok := sj.Result(); ok {
+		t.Fatal("cancelled search serves a result")
+	}
 }

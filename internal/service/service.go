@@ -439,6 +439,12 @@ func (s *Service) submit(spec *scenario.Spec, reps, priority int, deadline time.
 	// serialized the same spec.
 	if canon, err := spec.CanonicalJSON(); err == nil {
 		s.journal.append(journalEntry{ID: id, Spec: canon, Reps: reps, Priority: priority, Deadline: deadline})
+		// A group or search fan-out can cancel the job between its
+		// publication above and the append: that cancel's remove found no
+		// file, so settle the entry here.
+		if j.clientCancelled() {
+			s.journal.remove(id)
+		}
 	}
 	if !s.queue.Push(j) {
 		// Shutdown raced the submit; the job is born cancelled rather
