@@ -493,7 +493,7 @@ func (c *Controller) Tick(now float64) {
 	// pass 2: link rates (eq. 2 or eq. 5) and SLA detection
 	for _, ls := range c.links {
 		q := c.reader.QueueBits(ls.ID)
-		var arrived float64
+		var arrived float64 // stays 0, as lastArrived does, in Full mode
 		if c.Params.Mode == Simplified {
 			arrived = c.reader.ArrivedBits(ls.ID)
 		}

@@ -502,3 +502,35 @@ func TestMinfMatchesMathMin(t *testing.T) {
 		check(r.NormFloat64(), r.NormFloat64())
 	}
 }
+
+// TestParamsChangeRecomputesQuietLinks changes the control-law constants
+// between ticks, once the idle links are quiet: the next tick must
+// recompute them as the reference does, in both modes.
+func TestParamsChangeRecomputesQuietLinks(t *testing.T) {
+	for _, mode := range []Mode{Full, Simplified} {
+		rig := newPlaneRig(t, mode)
+		tick := func() {
+			rig.now += rig.real.Params.Tau
+			rig.real.Tick(rig.now)
+			refTick(rig.ref, rig.now)
+			rig.realH.Update()
+			refUpdate(rig.refH)
+			if d := rig.diff(); d != "" {
+				t.Fatalf("mode %d, Alpha %v Beta %v: %s", mode, rig.real.Params.Alpha, rig.real.Params.Beta, d)
+			}
+		}
+		rig.reader.queues[0] = 1e6
+		for i := 0; i < 3; i++ {
+			tick()
+		}
+		for _, change := range []func(*Params){
+			func(p *Params) { p.Alpha = 0.5 },
+			func(p *Params) { p.Beta = 0.25 },
+		} {
+			change(&rig.real.Params)
+			change(&rig.ref.Params)
+			tick()
+			tick()
+		}
+	}
+}

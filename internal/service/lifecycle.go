@@ -140,13 +140,16 @@ func closed(ch <-chan struct{}) bool {
 
 // ledger is the bounded, ID-addressed registry of one resource kind: the
 // ID map, submission order for the list endpoint, the ID counter, and a
-// weighted bound kept as a running total. Once the total exceeds the
-// bound, the oldest settled entries are forgotten (their IDs 404). Live
-// entries are never evicted, so the bound may be exceeded transiently
-// while old work still runs; neither is the newest entry, so a born-done
-// submission cannot 404 before its client even receives the ID. The
-// ledger has no lock: Service.mu guards every ledger, and settlement is
-// read from Done, so eviction never takes an entry's own lock.
+// weighted bound kept as a running total. Eviction happens only when an
+// entry is published: once the total exceeds the bound, the oldest
+// settled entries are forgotten (their IDs 404). Live entries are never
+// evicted, and neither is the newest entry, so a born-done submission
+// cannot 404 before its client even receives the ID. A ledger whose old
+// entries were still live at the last publish therefore stays over its
+// bound, at rest, after they settle, until the next submission of its
+// kind. The ledger has no lock: Service.mu guards every ledger, and
+// settlement is read from Done, so eviction never takes an entry's own
+// lock.
 type ledger[T settler] struct {
 	node   string      // the ring node's ID prefix "n<idx>-", "" single-node
 	kind   byte        // the kind's ID letter: 'j', 'g' or 's'

@@ -26,6 +26,11 @@
 # BenchmarkComputeRouting builds the route tables of the fig. 6 tree and of
 # the 500-client / 200-server fabric, whose allocation counts must match
 # (hosts own no table);
+# BenchmarkTickTreeTopology times one control interval on the fig. 6
+# tree with 200 flows registered and idle, with none (every link quiet);
+# BenchmarkHierarchyUpdate times the fig. 2 aggregation when one link's
+# rate moved before it (changed) and when nothing did (unchanged, the
+# skip);
 # BenchmarkLintSelf tracks the static-analysis suite's cost per package
 # (parse + type-check + all five analyzers over internal/lint itself), so
 # the CI lint step's budget stays visible;
@@ -41,8 +46,8 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkFluidFabric|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkComputeRouting|BenchmarkLintSelf' \
-    -benchmem -count 5 ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/topology ./internal/lint | tee "$tmp"
+    -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkFluidFabric|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkComputeRouting|BenchmarkTickTreeTopology|BenchmarkHierarchyUpdate|BenchmarkLintSelf' \
+    -benchmem -count 5 ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/topology ./internal/ratealloc ./internal/lint | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkAllFiguresSerial' -benchtime=1x -benchmem -count 5 . | tee -a "$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go env GOVERSION)" '
