@@ -288,7 +288,8 @@ func (c *Controller) SetCapacity(id topology.LinkID, capacity float64) {
 func (c *Controller) Link(id topology.LinkID) *LinkState { return c.links[id] }
 
 // SetHostOther sets the endpoint resource limit (CPU/disk service rate in
-// bits/sec) used as R_other for flows sent or received by host h.
+// bits/sec) used as R_other for flows sent or received by host h, a node
+// of the controller's graph.
 func (c *Controller) SetHostOther(h topology.NodeID, rate float64) {
 	if !bitsEqual(c.hostOther[h], rate) {
 		c.hostOther[h] = rate
