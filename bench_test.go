@@ -21,36 +21,35 @@ func benchScale() experiments.Scale {
 	return experiments.Scale{Duration: 10, BWScale: 0.05, ArrivalScale: 0.05, Seed: 1}
 }
 
-func benchFigure(b *testing.B, fn func(experiments.Scale) (experiments.FigureResult, error)) {
+func benchFigure(b *testing.B, id string) {
 	b.Helper()
 	var last experiments.FigureResult
 	for i := 0; i < b.N; i++ {
-		experiments.ClearScenarioCache() // measure the full simulation
 		sc := benchScale()
 		sc.Seed = uint64(i + 1)
-		f, err := fn(sc)
+		fs, err := experiments.RunFigures([]string{id}, sc, 1, runner.Serial())
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = f
+		last = fs[0]
 	}
 	for k, v := range last.Summary {
 		b.ReportMetric(v, k)
 	}
 }
 
-func BenchmarkFig07VideoThroughput(b *testing.B)      { benchFigure(b, experiments.Fig07) }
-func BenchmarkFig08VideoFCTCDF(b *testing.B)          { benchFigure(b, experiments.Fig08) }
-func BenchmarkFig09VideoAFCT(b *testing.B)            { benchFigure(b, experiments.Fig09) }
-func BenchmarkFig10VideoNoCtlThroughput(b *testing.B) { benchFigure(b, experiments.Fig10) }
-func BenchmarkFig11VideoNoCtlFCTCDF(b *testing.B)     { benchFigure(b, experiments.Fig11) }
-func BenchmarkFig12VideoNoCtlAFCT(b *testing.B)       { benchFigure(b, experiments.Fig12) }
-func BenchmarkFig13DCK1AFCT(b *testing.B)             { benchFigure(b, experiments.Fig13) }
-func BenchmarkFig14DCK1FCTCDF(b *testing.B)           { benchFigure(b, experiments.Fig14) }
-func BenchmarkFig15DCK3AFCT(b *testing.B)             { benchFigure(b, experiments.Fig15) }
-func BenchmarkFig16DCK3FCTCDF(b *testing.B)           { benchFigure(b, experiments.Fig16) }
-func BenchmarkFig17ParetoThroughput(b *testing.B)     { benchFigure(b, experiments.Fig17) }
-func BenchmarkFig18ParetoFCTCDF(b *testing.B)         { benchFigure(b, experiments.Fig18) }
+func BenchmarkFig07VideoThroughput(b *testing.B)      { benchFigure(b, "fig07") }
+func BenchmarkFig08VideoFCTCDF(b *testing.B)          { benchFigure(b, "fig08") }
+func BenchmarkFig09VideoAFCT(b *testing.B)            { benchFigure(b, "fig09") }
+func BenchmarkFig10VideoNoCtlThroughput(b *testing.B) { benchFigure(b, "fig10") }
+func BenchmarkFig11VideoNoCtlFCTCDF(b *testing.B)     { benchFigure(b, "fig11") }
+func BenchmarkFig12VideoNoCtlAFCT(b *testing.B)       { benchFigure(b, "fig12") }
+func BenchmarkFig13DCK1AFCT(b *testing.B)             { benchFigure(b, "fig13") }
+func BenchmarkFig14DCK1FCTCDF(b *testing.B)           { benchFigure(b, "fig14") }
+func BenchmarkFig15DCK3AFCT(b *testing.B)             { benchFigure(b, "fig15") }
+func BenchmarkFig16DCK3FCTCDF(b *testing.B)           { benchFigure(b, "fig16") }
+func BenchmarkFig17ParetoThroughput(b *testing.B)     { benchFigure(b, "fig17") }
+func BenchmarkFig18ParetoFCTCDF(b *testing.B)         { benchFigure(b, "fig18") }
 
 // benchAllFigures times the full 12-figure suite on the given pool. A
 // serial pool (runner.Serial()) gives stable, machine-independent per-run
@@ -59,10 +58,9 @@ func BenchmarkFig18ParetoFCTCDF(b *testing.B)         { benchFigure(b, experimen
 func benchAllFigures(b *testing.B, pool *runner.Pool) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		experiments.ClearScenarioCache() // measure the full simulation
 		sc := benchScale()
 		sc.Seed = uint64(i + 1)
-		if _, err := experiments.RunFigures(nil, sc, pool); err != nil {
+		if _, err := experiments.RunFigures(nil, sc, 1, pool); err != nil {
 			b.Fatal(err)
 		}
 	}

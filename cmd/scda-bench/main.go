@@ -257,7 +257,7 @@ func main() {
 
 	pool := runner.New(*workers)
 
-	ids := experiments.FigureIDs()
+	var ids []string // nil runs every figure
 	if *figures != "all" {
 		ids = strings.Split(*figures, ",")
 		for i := range ids {
@@ -269,27 +269,7 @@ func main() {
 		*scale, sc.Duration, sc.BWScale, sc.ArrivalScale, sc.Seed, pool.Workers(), *reps)
 
 	start := time.Now()
-	var results []experiments.FigureResult
-	var err error
-	if *reps > 1 {
-		// flatten the (figure, seed) grid onto one pool so both axes fan
-		// out, then aggregate each figure's replicates to mean ± 95% CI
-		seeds := runner.DeriveSeeds(sc.Seed, *reps)
-		var flat []experiments.FigureResult
-		flat, err = runner.Map(pool, len(ids)*(*reps), func(i int) (experiments.FigureResult, error) {
-			rsc := sc
-			rsc.Seed = seeds[i%*reps]
-			return experiments.Figure(ids[i/(*reps)], rsc)
-		})
-		if err == nil {
-			results = make([]experiments.FigureResult, len(ids))
-			for f := range ids {
-				results[f] = experiments.AggregateFigure(flat[f*(*reps) : (f+1)*(*reps)])
-			}
-		}
-	} else {
-		results, err = experiments.RunFigures(ids, sc, pool)
-	}
+	results, err := experiments.RunFigures(ids, sc, *reps, pool)
 	if err != nil {
 		fail("%v", err)
 	}

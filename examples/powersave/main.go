@@ -9,21 +9,21 @@ import (
 	"log"
 	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/content"
-	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/workload"
 )
 
 func main() {
 	const x = 100e6
-	c, err := core.NewSCDA(
-		core.WithBandwidth(x, 3),
-		core.WithReplication(),
-		core.WithRscale(0.5*0.95*x), // servers above half the idle rate are dormant candidates
-		core.WithPowerAware(),
-		core.WithSeed(11),
-	)
+	cfg := cluster.DefaultConfig(cluster.SCDA)
+	cfg.Topology.X, cfg.Topology.K = x, 3
+	cfg.Replicate = true
+	cfg.Rscale = 0.5 * 0.95 * x // servers above half the idle rate are dormant candidates
+	cfg.PowerAware, cfg.HeterogeneousPower = true, true
+	cfg.Seed = 11
+	c, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

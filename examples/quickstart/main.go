@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/workload"
 )
 
@@ -16,7 +16,10 @@ func main() {
 	// An SCDA datacenter: 4 racks × 5 block servers behind a three-tier
 	// switch tree, 40 external clients, X = 500 Mb/s, K = 3 — the paper's
 	// video-trace setup — with section VIII-B internal replication on.
-	c, err := core.NewSCDA(core.WithReplication(), core.WithSeed(42))
+	cfg := cluster.DefaultConfig(cluster.SCDA)
+	cfg.Replicate = true
+	cfg.Seed = 42
+	c, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

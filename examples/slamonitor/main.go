@@ -9,13 +9,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/ratealloc"
 	"repro/internal/topology"
 )
 
 func main() {
-	c, err := core.NewSCDA(core.WithSeed(3))
+	cfg := cluster.DefaultConfig(cluster.SCDA)
+	cfg.Seed = 3
+	c, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -32,15 +31,11 @@ func main() {
 	}
 	var outcomes []outcome
 
-	builders := []struct {
-		name string
-		mk   func(...core.Option) (*cluster.Cluster, error)
-	}{
-		{"SCDA", core.NewSCDA},
-		{"RandTCP", core.NewRandTCP},
-	}
-	for _, b := range builders {
-		c, err := b.mk(core.WithBandwidth(x, 3), core.WithSeed(seed))
+	for _, sys := range []cluster.System{cluster.SCDA, cluster.RandTCP} {
+		cfg := cluster.DefaultConfig(sys)
+		cfg.Topology.X, cfg.Topology.K = x, 3
+		cfg.Seed = seed
+		c, err := cluster.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,7 +43,7 @@ func main() {
 		m := c.RunWorkload(reqs, duration*3)
 		cdf := m.FCTCDF()
 		outcomes = append(outcomes, outcome{
-			name:      b.name,
+			name:      sys.String(),
 			mean:      m.MeanFCT(),
 			median:    cdf.Quantile(0.5),
 			p90:       cdf.Quantile(0.9),

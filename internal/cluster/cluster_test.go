@@ -32,6 +32,27 @@ func mustNew(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
+// TestSystemWiring: SCDA builds the allocation plane and the content-aware
+// picker and no random picker; RandTCP builds the reverse.
+func TestSystemWiring(t *testing.T) {
+	scda := mustNew(t, smallConfig(SCDA))
+	if scda.Ctrl == nil || scda.Hier == nil || scda.Picker == nil || scda.Random != nil {
+		t.Fatal("SCDA planes not wired")
+	}
+	rand := mustNew(t, smallConfig(RandTCP))
+	if rand.Ctrl != nil || rand.Hier != nil || rand.Picker != nil || rand.Random == nil {
+		t.Fatal("RandTCP built SCDA planes or no random picker")
+	}
+}
+
+func TestNumNNSReachesFES(t *testing.T) {
+	cfg := smallConfig(SCDA)
+	cfg.NumNNS = 5
+	if n := mustNew(t, cfg).FES.NumNNS(); n != 5 {
+		t.Fatalf("FES has %d name nodes, want 5", n)
+	}
+}
+
 func TestSCDAWriteReadRoundTrip(t *testing.T) {
 	c := mustNew(t, smallConfig(SCDA))
 	err := c.SubmitWrite(workload.Request{

@@ -228,36 +228,30 @@ func AblationReservation(sc Scale) (AblationResult, error) {
 	}, nil
 }
 
+// dcRun runs SCDA alone on the default fig. 6 cluster, adjusted by set,
+// over the section X-A2 datacenter workload: arrivals for sc.Duration,
+// then a drain to twice that. A5-A7 and the NNS sweep read it.
+func dcRun(sc Scale, set func(*cluster.Config)) (*cluster.Cluster, error) {
+	cfg := cluster.DefaultConfig(cluster.SCDA)
+	cfg.Seed = sc.Seed
+	set(&cfg)
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.RunWorkload(dcSpec(sc).Generate(sim.NewRNG(sc.Seed), sc.Duration), sc.Duration*2)
+	return c, nil
+}
+
 // AblationNNS (A5) quantifies the multiple-NNS feature: peak per-NNS
-// metadata load with 1 vs 4 name nodes over the same request stream.
+// metadata load with 1 vs 4 name nodes over the same request stream, the
+// NNS sweep's first two points.
 func AblationNNS(sc Scale) (AblationResult, error) {
-	load := func(numNNS int) (float64, error) {
-		cfg := cluster.DefaultConfig(cluster.SCDA)
-		cfg.Seed = sc.Seed
-		cfg.NumNNS = numNNS
-		c, err := cluster.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		spec := dcSpec(sc)
-		reqs := spec.Generate(sim.NewRNG(sc.Seed), sc.Duration)
-		c.RunWorkload(reqs, sc.Duration*2)
-		peak := int64(0)
-		for _, l := range c.FES.LoadByNNS() {
-			if l > peak {
-				peak = l
-			}
-		}
-		return float64(peak), nil
-	}
-	single, err := load(1)
+	sw, err := NNSScaleSweep([]int{1, 4}, sc, runner.Serial())
 	if err != nil {
 		return AblationResult{}, err
 	}
-	multi, err := load(4)
-	if err != nil {
-		return AblationResult{}, err
-	}
+	single, multi := sw.Series[0].Points[0].Y, sw.Series[0].Points[1].Y
 	ratio := multi / single
 	return AblationResult{
 		ID:    "A5",
@@ -276,17 +270,13 @@ func AblationNNS(sc Scale) (AblationResult, error) {
 // selection under heterogeneous server power profiles.
 func AblationPower(sc Scale) (AblationResult, error) {
 	run := func(aware bool) (float64, error) {
-		cfg := cluster.DefaultConfig(cluster.SCDA)
-		cfg.Seed = sc.Seed
-		cfg.HeterogeneousPower = true
-		cfg.PowerAware = aware
-		c, err := cluster.New(cfg)
+		c, err := dcRun(sc, func(cfg *cluster.Config) {
+			cfg.HeterogeneousPower = true
+			cfg.PowerAware = aware
+		})
 		if err != nil {
 			return 0, err
 		}
-		spec := dcSpec(sc)
-		reqs := spec.Generate(sim.NewRNG(sc.Seed), sc.Duration)
-		c.RunWorkload(reqs, sc.Duration*2)
 		c.Power.AccrueAll(c.Sim.Now())
 		return c.Power.TotalEnergy(), nil
 	}
@@ -317,17 +307,11 @@ func AblationPower(sc Scale) (AblationResult, error) {
 // against the full eq. 2/3 controller on the same workload.
 func AblationSimplified(sc Scale) (AblationResult, error) {
 	run := func(mode ratealloc.Mode) (float64, error) {
-		cfg := cluster.DefaultConfig(cluster.SCDA)
-		cfg.Seed = sc.Seed
-		cfg.Alloc.Mode = mode
-		c, err := cluster.New(cfg)
+		c, err := dcRun(sc, func(cfg *cluster.Config) { cfg.Alloc.Mode = mode })
 		if err != nil {
 			return 0, err
 		}
-		spec := dcSpec(sc)
-		reqs := spec.Generate(sim.NewRNG(sc.Seed), sc.Duration)
-		m := c.RunWorkload(reqs, sc.Duration*2)
-		return m.MeanFCT(), nil
+		return c.Metrics.MeanFCT(), nil
 	}
 	full, err := run(ratealloc.Full)
 	if err != nil {

@@ -42,7 +42,7 @@ func TestPaperDigests(t *testing.T) {
 		}
 		got = append(got, fmt.Sprintf("%s.csv %x", name, sha256.Sum256(buf.Bytes())))
 	}
-	figs, err := RunFigures(FigureIDs(), sc, pool)
+	figs, err := RunFigures(nil, sc, 1, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

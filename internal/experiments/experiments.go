@@ -1,10 +1,11 @@
-// Package experiments contains one runner per figure of the paper's
-// evaluation (section X) plus the A1-A11 design-claim ablations (see
-// EXPERIMENTS.md for the full figure and ablation tables). Every figure
-// runner builds both systems (SCDA and RandTCP) on the fig. 6 topology,
-// drives them with the same generated workload, and reduces the metrics to
-// the series the paper plots. Suite-level entry points (RunFigures,
-// ReplicateFigure, RunAblations) fan independent runs out across an
+// Package experiments regenerates the paper's evaluation (section X):
+// figs. 7-18 plus the A1-A11 design-claim ablations and two sweeps (see
+// EXPERIMENTS.md for the full figure and ablation tables). The twelve
+// figures are rows of one table over five runs. Each run builds both
+// systems (SCDA and RandTCP) on the fig. 6 topology and drives them with
+// the same generated workload; each row reduces one run's metrics to the
+// series the paper plots. The suite-level entry points (RunFigures,
+// RunAblations and the sweeps) fan independent simulations out across an
 // internal/runner pool; same-seed results are identical to serial runs.
 //
 // Absolute numbers differ from the paper's NS2 testbed; the reproduction
@@ -15,6 +16,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/runner"
@@ -68,28 +70,48 @@ func baseConfig(sys cluster.System, x float64, k float64, sc Scale) cluster.Conf
 	return cfg
 }
 
-// runBoth drives both systems with the same request sequence.
-func runBoth(cfgFor func(cluster.System) cluster.Config, gen workload.Generator, sc Scale) (scda, rand *cluster.Metrics, err error) {
-	var out [2]*cluster.Metrics
-	for i, sys := range []cluster.System{cluster.SCDA, cluster.RandTCP} {
-		cfg := cfgFor(sys)
-		c, err := cluster.New(cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: building %v: %w", sys, err)
-		}
-		reqs := gen.Generate(sim.NewRNG(sc.Seed), sc.Duration)
-		// allow in-flight transfers to drain past the arrival horizon
-		out[i] = c.RunWorkload(reqs, sc.Duration*3)
-	}
-	return out[0], out[1], nil
-}
+// paperRun names one of the five two-system simulations behind figs.
+// 7-18: each runs SCDA and RandTCP on the fig. 6 tree, fed the same
+// requests.
+type paperRun int
 
-// videoSpec scales the section X-A1 workload.
-func videoSpec(controlFlows bool, sc Scale) workload.VideoSpec {
-	spec := workload.DefaultVideoSpec()
-	spec.ControlFlows = controlFlows
-	spec.ArrivalRate *= sc.ArrivalScale
-	return spec
+const (
+	runVideo      paperRun = iota // X-A1 video traces with control flows, X=500 Mb/s, K=3
+	runVideoNoCtl                 // X-A1 without the control flows
+	runDCK1                       // X-A2 datacenter traces, X=500 Mb/s, K=1
+	runDCK3                       // X-A2 at K=3
+	runPareto                     // X-B Pareto sizes, Poisson arrivals, X=200 Mb/s, K=3
+)
+
+// simulate runs one system of the run: arrivals for sc.Duration, then a
+// drain to three times that so in-flight transfers can finish.
+func (r paperRun) simulate(sys cluster.System, sc Scale) (*cluster.Metrics, error) {
+	x, k := 500e6, 3.0
+	var gen workload.Generator
+	switch r {
+	case runVideo, runVideoNoCtl:
+		spec := workload.DefaultVideoSpec()
+		spec.ControlFlows = r == runVideo
+		spec.ArrivalRate *= sc.ArrivalScale
+		gen = spec
+	case runDCK1:
+		k = 1
+		gen = dcSpec(sc)
+	case runDCK3:
+		gen = dcSpec(sc)
+	case runPareto:
+		x = 200e6
+		spec := workload.DefaultParetoSpec()
+		spec.ArrivalRate *= sc.ArrivalScale
+		gen = spec
+	}
+	c, err := cluster.New(baseConfig(sys, x, k, sc))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: building %v: %w", sys, err)
+	}
+	// a copy of the metrics lets the rest of the cluster go
+	m := *c.RunWorkload(gen.Generate(sim.NewRNG(sc.Seed), sc.Duration), sc.Duration*3)
+	return &m, nil
 }
 
 func dcSpec(sc Scale) workload.DCSpec {
@@ -98,67 +120,79 @@ func dcSpec(sc Scale) workload.DCSpec {
 	return spec
 }
 
-func paretoSpec(sc Scale) workload.ParetoSpec {
-	spec := workload.DefaultParetoSpec()
-	spec.ArrivalRate *= sc.ArrivalScale
-	return spec
+// figure is one row of the figures table: a reduction of one run's two
+// systems to the series the paper plots.
+type figure struct {
+	id, title string
+	run       paperRun
+	reduce    func(scda, rand *cluster.Metrics) FigureResult
 }
 
-// throughputFigure reduces both systems to the fig. 7/10/17 series.
-func throughputFigure(id, title string, scda, rand *cluster.Metrics) FigureResult {
+// figures lists figs. 7-18 in paper order: twelve reductions of five runs.
+var figures = []figure{
+	{"fig07", "Video traces with control flows: throughput", runVideo, throughput},
+	{"fig08", "Video traces with control flows: upload time CDF", runVideo, fctCDF},
+	{"fig09", "Video traces with control flows: AFCT", runVideo, afct(1<<20, 1<<20, "File Size (MB)")},
+	{"fig10", "Video traces without control flows: throughput", runVideoNoCtl, throughput},
+	{"fig11", "Video traces without control flows: upload time CDF", runVideoNoCtl, fctCDF},
+	{"fig12", "Video traces without control flows: AFCT", runVideoNoCtl, afct(1<<20, 1<<20, "File Size (MB)")},
+	{"fig13", "Datacenter traces K=1: AFCT", runDCK1, afct(500e3, 1e3, "File Size (KBytes)")},
+	{"fig14", "Datacenter traces K=1: upload time CDF", runDCK1, fctCDF},
+	{"fig15", "Datacenter traces K=3: AFCT", runDCK3, afct(500e3, 1e3, "File Size (KBytes)")},
+	{"fig16", "Datacenter traces K=3: upload time CDF", runDCK3, fctCDF},
+	{"fig17", "Pareto/Poisson: throughput", runPareto, throughput},
+	{"fig18", "Pareto/Poisson: upload time CDF", runPareto, fctCDF},
+}
+
+// throughput reduces both systems to the fig. 7/10/17 series.
+func throughput(scda, rand *cluster.Metrics) FigureResult {
+	s, r := scda.AvgInstThroughput(), rand.AvgInstThroughput()
 	return FigureResult{
-		ID: id, Title: title,
 		XLabel: "Simulation time (sec)", YLabel: "Avg. Inst. Thpt (KB/sec)",
-		Series: []stats.Series{
-			{Name: "SCDA", Points: scda.AvgInstThroughput()},
-			{Name: "RandTCP", Points: rand.AvgInstThroughput()},
-		},
+		Series: []stats.Series{{Name: "SCDA", Points: s}, {Name: "RandTCP", Points: r}},
 		Summary: map[string]float64{
-			"scda_mean_thpt_kBps": meanY(scda.AvgInstThroughput()),
-			"rand_mean_thpt_kBps": meanY(rand.AvgInstThroughput()),
+			"scda_mean_thpt_kBps": meanY(s),
+			"rand_mean_thpt_kBps": meanY(r),
 		},
 	}
 }
 
-// cdfFigure reduces to the fig. 8/11/14/16/18 series.
-func cdfFigure(id, title string, scda, rand *cluster.Metrics) FigureResult {
+// fctCDF reduces to the fig. 8/11/14/16/18 series.
+func fctCDF(scda, rand *cluster.Metrics) FigureResult {
+	s, r := scda.FCTCDF(), rand.FCTCDF()
 	return FigureResult{
-		ID: id, Title: title,
 		XLabel: "FCT (sec)", YLabel: "FCT CDF",
-		Series: []stats.Series{
-			{Name: "SCDA", Points: scda.FCTCDF().Points(64)},
-			{Name: "RandTCP", Points: rand.FCTCDF().Points(64)},
-		},
+		Series: []stats.Series{{Name: "SCDA", Points: s.Points(64)}, {Name: "RandTCP", Points: r.Points(64)}},
 		Summary: map[string]float64{
-			"scda_median_fct": scda.FCTCDF().Quantile(0.5),
-			"rand_median_fct": rand.FCTCDF().Quantile(0.5),
+			"scda_median_fct": s.Quantile(0.5),
+			"rand_median_fct": r.Quantile(0.5),
 			"scda_mean_fct":   scda.MeanFCT(),
 			"rand_mean_fct":   rand.MeanFCT(),
 		},
 	}
 }
 
-// afctFigure reduces to the fig. 9/12/13/15 series with the given size
-// bin (bytes) and x-axis unit divisor.
-func afctFigure(id, title string, binBytes, xDiv float64, xlabel string, scda, rand *cluster.Metrics) FigureResult {
+// afct returns the fig. 9/12/13/15 reduction with the given size bin
+// (bytes) and x-axis unit divisor.
+func afct(binBytes, xDiv float64, xlabel string) func(scda, rand *cluster.Metrics) FigureResult {
 	scale := func(pts []stats.Point) []stats.Point {
-		out := make([]stats.Point, len(pts))
-		for i, p := range pts {
-			out[i] = stats.Point{X: p.X / xDiv, Y: p.Y}
+		for i := range pts {
+			pts[i].X /= xDiv
 		}
-		return out
+		return pts
 	}
-	return FigureResult{
-		ID: id, Title: title,
-		XLabel: xlabel, YLabel: "AFCT (sec)",
-		Series: []stats.Series{
-			{Name: "SCDA", Points: scale(scda.AFCTBySize(binBytes))},
-			{Name: "RandTCP", Points: scale(rand.AFCTBySize(binBytes))},
-		},
-		Summary: map[string]float64{
-			"scda_mean_fct": scda.MeanFCT(),
-			"rand_mean_fct": rand.MeanFCT(),
-		},
+	return func(scda, rand *cluster.Metrics) FigureResult {
+		return FigureResult{
+			XLabel: xlabel, YLabel: "AFCT (sec)",
+			Series: []stats.Series{
+				{Name: "SCDA", Points: scale(scda.AFCTBySize(binBytes))},
+				{Name: "RandTCP", Points: scale(rand.AFCTBySize(binBytes))},
+			},
+			Summary: map[string]float64{
+				"scda_mean_fct": scda.MeanFCT(),
+				"rand_mean_fct": rand.MeanFCT(),
+			},
+		}
 	}
 }
 
@@ -173,254 +207,71 @@ func meanY(pts []stats.Point) float64 {
 	return s / float64(len(pts))
 }
 
-// scenarios memoizes the expensive two-system runs: several figures reduce
-// the same scenario (figs. 7-9 share the video run, figs. 17/18 the Pareto
-// run), and simulations are deterministic given Scale, so re-running would
-// waste minutes at paper scale. The per-key singleflight lets distinct
-// scenarios simulate concurrently while duplicate requests wait on the
-// first; metrics published through the cache are only ever read (every
-// reduction builds fresh state from Metrics.Records), so concurrent figure
-// reductions over a shared run are race-free.
-var scenarios = runner.NewGroup[scenarioKey, [2]*cluster.Metrics]()
-
-type scenarioKey struct {
-	kind string
-	k    float64
-	sc   Scale
-}
-
-// ClearScenarioCache empties the memoized scenario runs; benchmarks call
-// it so every figure measurement pays its full simulation cost.
-func ClearScenarioCache() {
-	scenarios.Clear()
-}
-
-func cachedRun(key scenarioKey, run func() (*cluster.Metrics, *cluster.Metrics, error)) (*cluster.Metrics, *cluster.Metrics, error) {
-	got, err := scenarios.Do(key, func() ([2]*cluster.Metrics, error) {
-		a, b, err := run()
-		if err != nil {
-			return [2]*cluster.Metrics{}, err
+// RunFigures regenerates the given figures (all of them, in paper order,
+// when ids is nil), returning results in input order. It simulates each
+// distinct (run, system, seed) cell once, concurrently on the pool (nil =
+// default GOMAXPROCS pool; runner.Serial() recovers the plain loop), and
+// reduces every requested figure from those cells, so the 12 figures cost
+// 5 runs; nothing outlives the call. reps <= 1 runs at sc.Seed. reps > 1
+// runs at reps seeds derived from sc.Seed and aggregates each figure's
+// replicates to mean curves with 95% CI error bars (stats.Series.YErr),
+// and its summary values to replicate means with a "<key>_ci95"
+// half-width companion per key and a "replicates" count.
+func RunFigures(ids []string, sc Scale, reps int, p *runner.Pool) ([]FigureResult, error) {
+	rows := figures
+	if ids != nil {
+		rows = make([]figure, len(ids))
+		for i, id := range ids {
+			j := slices.IndexFunc(figures, func(f figure) bool { return f.id == id })
+			if j < 0 {
+				return nil, fmt.Errorf("experiments: unknown figure %q", id)
+			}
+			rows[i] = figures[j]
 		}
-		return [2]*cluster.Metrics{a, b}, nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	return got[0], got[1], nil
-}
-
-// videoRun executes the X-A1 scenario once per system (X=500 Mb/s, K=3).
-func videoRun(controlFlows bool, sc Scale) (*cluster.Metrics, *cluster.Metrics, error) {
-	kind := "video"
-	if !controlFlows {
-		kind = "videonoctl"
+	first := map[paperRun]int{} // run → its index in runs
+	var runs []paperRun
+	for _, f := range rows {
+		if _, ok := first[f.run]; !ok {
+			first[f.run] = len(runs)
+			runs = append(runs, f.run)
+		}
 	}
-	return cachedRun(scenarioKey{kind: kind, k: 3, sc: sc}, func() (*cluster.Metrics, *cluster.Metrics, error) {
-		return runBoth(func(sys cluster.System) cluster.Config {
-			return baseConfig(sys, 500e6, 3, sc)
-		}, videoSpec(controlFlows, sc), sc)
-	})
-}
-
-// dcRun executes the X-A2 scenario (X=500 Mb/s, K as given).
-func dcRun(k float64, sc Scale) (*cluster.Metrics, *cluster.Metrics, error) {
-	return cachedRun(scenarioKey{kind: "dc", k: k, sc: sc}, func() (*cluster.Metrics, *cluster.Metrics, error) {
-		return runBoth(func(sys cluster.System) cluster.Config {
-			return baseConfig(sys, 500e6, k, sc)
-		}, dcSpec(sc), sc)
-	})
-}
-
-// paretoRun executes the X-B scenario (X=200 Mb/s, K=3).
-func paretoRun(sc Scale) (*cluster.Metrics, *cluster.Metrics, error) {
-	return cachedRun(scenarioKey{kind: "pareto", k: 3, sc: sc}, func() (*cluster.Metrics, *cluster.Metrics, error) {
-		return runBoth(func(sys cluster.System) cluster.Config {
-			return baseConfig(sys, 200e6, 3, sc)
-		}, paretoSpec(sc), sc)
-	})
-}
-
-// Fig07 regenerates fig. 7: average instantaneous throughput, video traces
-// with control flows.
-func Fig07(sc Scale) (FigureResult, error) {
-	s, r, err := videoRun(true, sc)
-	if err != nil {
-		return FigureResult{}, err
+	seeds := []uint64{sc.Seed}
+	if reps > 1 {
+		seeds = runner.DeriveSeeds(sc.Seed, reps)
 	}
-	return throughputFigure("fig07", "Video traces with control flows: throughput", s, r), nil
-}
-
-// Fig08 regenerates fig. 8: FCT CDF, video traces with control flows.
-func Fig08(sc Scale) (FigureResult, error) {
-	s, r, err := videoRun(true, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return cdfFigure("fig08", "Video traces with control flows: upload time CDF", s, r), nil
-}
-
-// Fig09 regenerates fig. 9: AFCT vs file size (MB bins), video with
-// control flows.
-func Fig09(sc Scale) (FigureResult, error) {
-	s, r, err := videoRun(true, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return afctFigure("fig09", "Video traces with control flows: AFCT",
-		1<<20, 1<<20, "File Size (MB)", s, r), nil
-}
-
-// Fig10 regenerates fig. 10: throughput, video traces without control.
-func Fig10(sc Scale) (FigureResult, error) {
-	s, r, err := videoRun(false, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return throughputFigure("fig10", "Video traces without control flows: throughput", s, r), nil
-}
-
-// Fig11 regenerates fig. 11: FCT CDF, video without control.
-func Fig11(sc Scale) (FigureResult, error) {
-	s, r, err := videoRun(false, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return cdfFigure("fig11", "Video traces without control flows: upload time CDF", s, r), nil
-}
-
-// Fig12 regenerates fig. 12: AFCT vs size, video without control.
-func Fig12(sc Scale) (FigureResult, error) {
-	s, r, err := videoRun(false, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return afctFigure("fig12", "Video traces without control flows: AFCT",
-		1<<20, 1<<20, "File Size (MB)", s, r), nil
-}
-
-// Fig13 regenerates fig. 13: AFCT, datacenter traces, K=1 (KB bins).
-func Fig13(sc Scale) (FigureResult, error) {
-	s, r, err := dcRun(1, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return afctFigure("fig13", "Datacenter traces K=1: AFCT",
-		500e3, 1e3, "File Size (KBytes)", s, r), nil
-}
-
-// Fig14 regenerates fig. 14: FCT CDF, datacenter traces, K=1.
-func Fig14(sc Scale) (FigureResult, error) {
-	s, r, err := dcRun(1, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return cdfFigure("fig14", "Datacenter traces K=1: upload time CDF", s, r), nil
-}
-
-// Fig15 regenerates fig. 15: AFCT, datacenter traces, K=3.
-func Fig15(sc Scale) (FigureResult, error) {
-	s, r, err := dcRun(3, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return afctFigure("fig15", "Datacenter traces K=3: AFCT",
-		500e3, 1e3, "File Size (KBytes)", s, r), nil
-}
-
-// Fig16 regenerates fig. 16: FCT CDF, datacenter traces, K=3.
-func Fig16(sc Scale) (FigureResult, error) {
-	s, r, err := dcRun(3, sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return cdfFigure("fig16", "Datacenter traces K=3: upload time CDF", s, r), nil
-}
-
-// Fig17 regenerates fig. 17: throughput, Pareto sizes + Poisson arrivals.
-func Fig17(sc Scale) (FigureResult, error) {
-	s, r, err := paretoRun(sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return throughputFigure("fig17", "Pareto/Poisson: throughput", s, r), nil
-}
-
-// Fig18 regenerates fig. 18: FCT CDF, Pareto sizes + Poisson arrivals.
-func Fig18(sc Scale) (FigureResult, error) {
-	s, r, err := paretoRun(sc)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return cdfFigure("fig18", "Pareto/Poisson: upload time CDF", s, r), nil
-}
-
-// Figure runs one figure by ID ("fig07".."fig18").
-func Figure(id string, sc Scale) (FigureResult, error) {
-	fn, ok := AllFigures()[id]
-	if !ok {
-		return FigureResult{}, fmt.Errorf("experiments: unknown figure %q", id)
-	}
-	return fn(sc)
-}
-
-// AllFigures maps figure IDs to runners in paper order.
-func AllFigures() map[string]func(Scale) (FigureResult, error) {
-	return map[string]func(Scale) (FigureResult, error){
-		"fig07": Fig07, "fig08": Fig08, "fig09": Fig09,
-		"fig10": Fig10, "fig11": Fig11, "fig12": Fig12,
-		"fig13": Fig13, "fig14": Fig14, "fig15": Fig15,
-		"fig16": Fig16, "fig17": Fig17, "fig18": Fig18,
-	}
-}
-
-// FigureIDs returns all figure IDs in paper order.
-func FigureIDs() []string {
-	return []string{"fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
-		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18"}
-}
-
-// RunFigures regenerates the given figures (all of them when ids is nil)
-// concurrently on the pool (nil = default GOMAXPROCS pool; runner.Serial()
-// recovers the plain loop), returning results in input order. Figures that
-// share a scenario deduplicate the simulation through the singleflight
-// cache, so fanning out never repeats work.
-func RunFigures(ids []string, sc Scale, p *runner.Pool) ([]FigureResult, error) {
-	if ids == nil {
-		ids = FigureIDs()
-	}
-	return runner.Map(p, len(ids), func(i int) (FigureResult, error) {
-		return Figure(ids[i], sc)
-	})
-}
-
-// ReplicateFigure runs one figure at reps seeds derived from sc.Seed,
-// fanned out on the pool, and aggregates the replicate series into mean
-// curves with 95% CI error bars (stats.Series.YErr). Summary values are
-// replaced by their replicate means, with a "<key>_ci95" half-width
-// companion per key and a "replicates" count. Callers that replicate many
-// figures at once should instead flatten the (figure, seed) grid onto one
-// pool with runner.Map + AggregateFigure, as cmd/scda-bench does, so both
-// axes fan out without nesting Map calls.
-func ReplicateFigure(id string, sc Scale, reps int, p *runner.Pool) (FigureResult, error) {
-	if reps <= 0 {
-		reps = 1
-	}
-	runs, err := runner.Replicate(p, sc.Seed, reps, func(rep int, seed uint64) (FigureResult, error) {
+	// cell 2*(run*len(seeds) + seed) is SCDA; the next cell is RandTCP
+	systems := []cluster.System{cluster.SCDA, cluster.RandTCP}
+	cells, err := runner.Map(p, 2*len(runs)*len(seeds), func(c int) (*cluster.Metrics, error) {
 		rsc := sc
-		rsc.Seed = seed
-		return Figure(id, rsc)
+		rsc.Seed = seeds[c/2%len(seeds)]
+		return runs[c/2/len(seeds)].simulate(systems[c%2], rsc)
 	})
 	if err != nil {
-		return FigureResult{}, err
+		return nil, err
 	}
-	return AggregateFigure(runs), nil
+	out := make([]FigureResult, len(rows))
+	for i, f := range rows {
+		perSeed := make([]FigureResult, len(seeds))
+		for j := range seeds {
+			c := 2 * (first[f.run]*len(seeds) + j)
+			perSeed[j] = f.reduce(cells[c], cells[c+1])
+			perSeed[j].ID, perSeed[j].Title = f.id, f.title
+		}
+		out[i] = perSeed[0]
+		if reps > 1 {
+			out[i] = aggregateFigure(perSeed)
+		}
+	}
+	return out, nil
 }
 
-// AggregateFigure reduces replicate runs of the same figure (one per seed)
+// aggregateFigure reduces replicate runs of the same figure (one per seed)
 // to a single result: mean series with 95% CI error bars, mean summary
 // values with "<key>_ci95" companions, and a "replicates" count. Labels
-// are taken from the first run. Panics on an empty slice.
-func AggregateFigure(runs []FigureResult) FigureResult {
+// are taken from the first run.
+func aggregateFigure(runs []FigureResult) FigureResult {
 	out := runs[0]
 	allSeries := make([][]stats.Series, len(runs))
 	for i, r := range runs {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // tinyScale keeps figure smoke tests to well under a second each.
@@ -9,11 +11,14 @@ func tinyScale() Scale {
 	return Scale{Duration: 8, BWScale: 0.05, ArrivalScale: 0.05, Seed: 3}
 }
 
-func checkFigure(t *testing.T, f FigureResult, err error) {
+// runFigure runs one figure at tinyScale and checks its shape.
+func runFigure(t *testing.T, id string) FigureResult {
 	t.Helper()
+	fs, err := RunFigures([]string{id}, tinyScale(), 1, runner.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := fs[0]
 	if len(f.Series) != 2 {
 		t.Fatalf("%s: %d series, want SCDA + RandTCP", f.ID, len(f.Series))
 	}
@@ -25,11 +30,11 @@ func checkFigure(t *testing.T, f FigureResult, err error) {
 	if f.XLabel == "" || f.YLabel == "" || f.Title == "" {
 		t.Fatalf("%s: missing labels", f.ID)
 	}
+	return f
 }
 
 func TestFig08VideoCDF(t *testing.T) {
-	f, err := Fig08(tinyScale())
-	checkFigure(t, f, err)
+	f := runFigure(t, "fig08")
 	// headline: SCDA median FCT below RandTCP's
 	if f.Summary["scda_median_fct"] >= f.Summary["rand_median_fct"] {
 		t.Fatalf("SCDA median %v not below RandTCP %v",
@@ -38,8 +43,7 @@ func TestFig08VideoCDF(t *testing.T) {
 }
 
 func TestFig13DCAFCT(t *testing.T) {
-	f, err := Fig13(tinyScale())
-	checkFigure(t, f, err)
+	f := runFigure(t, "fig13")
 	if f.Summary["scda_mean_fct"] >= f.Summary["rand_mean_fct"] {
 		t.Fatalf("SCDA mean AFCT %v not below RandTCP %v",
 			f.Summary["scda_mean_fct"], f.Summary["rand_mean_fct"])
@@ -47,26 +51,27 @@ func TestFig13DCAFCT(t *testing.T) {
 }
 
 func TestFig17ParetoThroughput(t *testing.T) {
-	f, err := Fig17(tinyScale())
-	checkFigure(t, f, err)
+	f := runFigure(t, "fig17")
 	if f.Summary["scda_mean_thpt_kBps"] <= 0 {
 		t.Fatal("no SCDA throughput")
 	}
 }
 
+// TestFigureDispatch: the table holds the 12 figures over exactly 5 runs,
+// and an unknown ID is an error.
 func TestFigureDispatch(t *testing.T) {
-	if _, err := Figure("fig99", tinyScale()); err == nil {
+	if _, err := RunFigures([]string{"fig07", "fig99"}, tinyScale(), 1, runner.Serial()); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
-	ids := FigureIDs()
-	if len(ids) != 12 {
-		t.Fatalf("%d figure IDs, want 12", len(ids))
+	if len(figures) != 12 {
+		t.Fatalf("%d figures, want 12", len(figures))
 	}
-	all := AllFigures()
-	for _, id := range ids {
-		if all[id] == nil {
-			t.Fatalf("figure %s missing from AllFigures", id)
-		}
+	runs := map[paperRun]bool{}
+	for _, f := range figures {
+		runs[f.run] = true
+	}
+	if len(runs) != 5 {
+		t.Fatalf("12 figures map to %d runs, want 5", len(runs))
 	}
 }
 
@@ -237,11 +242,7 @@ func TestNNSScaleSweep(t *testing.T) {
 // approaches" — at least 60% of SCDA flows beat the RandTCP median, and
 // the median improvement itself approaches 50%.
 func TestPaperClaim60Percent(t *testing.T) {
-	sc := tinyScale()
-	f, err := Fig14(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := runFigure(t, "fig14")
 	randMedian := f.Summary["rand_median_fct"]
 	// reconstruct P(SCDA FCT <= RandTCP median) from the SCDA CDF series
 	var frac float64

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/runner"
@@ -35,17 +34,15 @@ func snapshot(f FigureResult) string {
 
 // TestParallelFiguresDeterministic is the runner's core contract: the full
 // figure suite through an 8-wide pool is byte-identical to a serial run at
-// the same seed, with the scenario cache cold in both cases.
+// the same seed.
 func TestParallelFiguresDeterministic(t *testing.T) {
 	sc := tinyScale()
 
-	ClearScenarioCache()
-	serial, err := RunFigures(nil, sc, runner.Serial())
+	serial, err := RunFigures(nil, sc, 1, runner.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ClearScenarioCache()
-	parallel, err := RunFigures(nil, sc, runner.New(8))
+	parallel, err := RunFigures(nil, sc, 1, runner.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,52 +59,14 @@ func TestParallelFiguresDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentFiguresShareScenarioCache hammers the singleflight from
-// many goroutines requesting overlapping figures (figs. 7-9 share one
-// scenario) — under -race this proves the cache publication and the shared
-// Metrics reductions are safe, and the pointer equality proves duplicate
-// requests really did coalesce onto one simulation.
-func TestConcurrentFiguresShareScenarioCache(t *testing.T) {
-	sc := tinyScale()
-	ClearScenarioCache()
-	ids := []string{"fig07", "fig08", "fig09", "fig07", "fig08", "fig09"}
-	var wg sync.WaitGroup
-	results := make([]FigureResult, len(ids))
-	errs := make([]error, len(ids))
-	for i := range ids {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = Figure(ids[i], sc)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("%s: %v", ids[i], err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		a, b := snapshot(results[i]), snapshot(results[i+3])
-		if a != b {
-			t.Fatalf("duplicate concurrent %s runs disagree", ids[i])
-		}
-	}
-	// 3 figures over 1 shared scenario: exactly one cache entry
-	if n := scenarios.Len(); n != 1 {
-		t.Fatalf("scenario cache holds %d entries, want 1 (singleflight failed to coalesce)", n)
-	}
-}
-
 func TestReplicateFigure(t *testing.T) {
 	sc := tinyScale()
 	sc.Duration = 5
-	ClearScenarioCache()
-	f, err := ReplicateFigure("fig13", sc, 3, runner.New(3))
+	fs, err := RunFigures([]string{"fig13"}, sc, 3, runner.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := fs[0]
 	if f.Summary["replicates"] != 3 {
 		t.Fatalf("replicates = %v", f.Summary["replicates"])
 	}
@@ -123,12 +82,11 @@ func TestReplicateFigure(t *testing.T) {
 		}
 	}
 	// replication is itself deterministic
-	ClearScenarioCache()
-	again, err := ReplicateFigure("fig13", sc, 3, runner.Serial())
+	again, err := RunFigures([]string{"fig13"}, sc, 3, runner.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapshot(f) != snapshot(again) {
+	if snapshot(f) != snapshot(again[0]) {
 		t.Fatal("replicated figure differs between parallel and serial execution")
 	}
 }

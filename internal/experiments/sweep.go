@@ -99,15 +99,10 @@ func NNSScaleSweep(nnsCounts []int, sc Scale, p *runner.Pool) (SweepResult, erro
 	}
 	pts, err := runner.Map(p, len(nnsCounts), func(i int) (stats.Point, error) {
 		n := nnsCounts[i]
-		cfg := cluster.DefaultConfig(cluster.SCDA)
-		cfg.Seed = sc.Seed
-		cfg.NumNNS = n
-		c, err := cluster.New(cfg)
+		c, err := dcRun(sc, func(cfg *cluster.Config) { cfg.NumNNS = n })
 		if err != nil {
 			return stats.Point{}, err
 		}
-		reqs := dcSpec(sc).Generate(sim.NewRNG(sc.Seed), sc.Duration)
-		c.RunWorkload(reqs, sc.Duration*2)
 		peak := int64(0)
 		for _, l := range c.FES.LoadByNNS() {
 			if l > peak {

@@ -154,7 +154,7 @@ func TestCleanFixture(t *testing.T) {
 }
 
 // TestMaprangeCatchesHistoricalBugs asserts the maprange analyzer alone
-// flags each of the three PR 1 determinism-bug reconstructions.
+// flags each historical determinism-bug reconstruction.
 func TestMaprangeCatchesHistoricalBugs(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -169,7 +169,7 @@ func TestMaprangeCatchesHistoricalBugs(t *testing.T) {
 	for _, f := range findings {
 		hit[filepath.Base(f.File)] = true
 	}
-	for _, file := range []string{"ratealloc_bug.go", "power_bug.go", "dfs_bug.go"} {
+	for _, file := range []string{"ratealloc_bug.go", "power_bug.go", "dfs_bug.go", "hierarchy_bug.go"} {
 		if !hit[file] {
 			t.Errorf("maprange missed the historical bug in %s", file)
 		}

@@ -20,7 +20,10 @@ import (
 // carry //scda:maprange-ok <reason>.
 //
 // Integer accumulation is exact and commutative, so it is never flagged;
-// only float sums depend on iteration order.
+// only float sums depend on iteration order. Nor is a write to a target
+// private to one key: out[k] with k the range key, v.f with v the range
+// value, or a variable declared in the loop body. v.Parent.f is not
+// private: siblings share their parent.
 func MaprangeAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "maprange",
@@ -93,7 +96,7 @@ func (p *Package) maprangeAssign(findings []Finding, fd *ast.FuncDecl, rs *ast.R
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 		for _, lhs := range as.Lhs {
-			if p.isFloat(lhs) && !p.declaredWithin(lhs, rs) && !p.usesLoopVar(lhs, rs) {
+			if p.isFloat(lhs) && !p.perKey(lhs, rs) {
 				findings = p.report(findings, "maprange", "maprange-ok", as.Pos(),
 					"float accumulation inside range over map makes the sum depend on iteration order")
 			}
@@ -109,11 +112,8 @@ func (p *Package) maprangeAssign(findings []Finding, fd *ast.FuncDecl, rs *ast.R
 				continue
 			}
 			obj := p.Info.ObjectOf(target)
-			if obj == nil || p.posWithin(obj.Pos(), rs) {
-				continue // appending to a loop-local slice is order-local
-			}
-			if p.usesLoopVar(call.Args[0], rs) {
-				continue // per-key target (out[k]): order-insensitive
+			if obj == nil || p.perKey(call.Args[0], rs) {
+				continue // one slice per key: order-insensitive
 			}
 			if _, isVar := obj.(*types.Var); !isVar {
 				continue
@@ -124,14 +124,14 @@ func (p *Package) maprangeAssign(findings []Finding, fd *ast.FuncDecl, rs *ast.R
 				continue // the dfs.FailServer idiom: accumulate, then sort
 			}
 			findings = p.report(findings, "maprange", "maprange-ok", as.Pos(),
-				"append to %q inside range over map accumulates in nondeterministic order (sort it afterwards or iterate sorted keys)", target.Name)
+				"append to %q inside range over map accumulates in nondeterministic order (sort it afterwards or iterate sorted keys)", types.ExprString(call.Args[0]))
 		}
 		// Plain float re-accumulation: x = x + e.
 		for i, lhs := range as.Lhs {
 			if as.Tok != token.ASSIGN || i >= len(as.Rhs) {
 				continue
 			}
-			if !p.isFloat(lhs) || p.declaredWithin(lhs, rs) || p.usesLoopVar(lhs, rs) {
+			if !p.isFloat(lhs) || p.perKey(lhs, rs) {
 				continue
 			}
 			if bin, ok := as.Rhs[i].(*ast.BinaryExpr); ok && (bin.Op == token.ADD || bin.Op == token.SUB) && p.mentions(bin, lhs) {
@@ -211,19 +211,31 @@ func (p *Package) sortedAfter(fd *ast.FuncDecl, rs *ast.RangeStmt, obj types.Obj
 	return sorted
 }
 
-// usesLoopVar reports whether the expression mentions the range statement's
-// key or value variable — a per-key write (totals[k] += v) is
-// order-insensitive and must not be flagged.
-func (p *Package) usesLoopVar(e ast.Expr, rs *ast.RangeStmt) bool {
-	for _, lv := range []ast.Expr{rs.Key, rs.Value} {
-		if lv == nil {
-			continue
-		}
-		if id, ok := lv.(*ast.Ident); ok && id.Name != "_" && p.mentions(e, id) {
-			return true
-		}
+// perKey reports whether the target e is private to one iteration of the
+// map range rs, so writing it is order-insensitive: a variable declared in
+// the body, the key or value variable itself, X[k] with k the range key,
+// or v.f with v the range value. A target that only mentions a loop
+// variable, such as v.Parent.f or X[v.id], can be shared by several keys.
+func (p *Package) perKey(e ast.Expr, rs *ast.RangeStmt) bool {
+	if p.declaredWithin(e, rs.Body) {
+		return true
+	}
+	switch x := e.(type) {
+	case *ast.Ident:
+		return p.isRangeVar(x, rs.Key) || p.isRangeVar(x, rs.Value)
+	case *ast.IndexExpr:
+		return p.isRangeVar(x.Index, rs.Key)
+	case *ast.SelectorExpr:
+		return p.isRangeVar(x.X, rs.Value)
 	}
 	return false
+}
+
+// isRangeVar reports whether e is the range variable lv, which is not "_".
+func (p *Package) isRangeVar(e, lv ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	lvID, lvOK := lv.(*ast.Ident)
+	return ok && lvOK && lvID.Name != "_" && p.Info.ObjectOf(id) == p.Info.ObjectOf(lvID)
 }
 
 // isFloat reports whether the expression has floating-point type.

@@ -1,6 +1,6 @@
-// Package histbugs reconstructs the three determinism bugs PR 1 fixed —
-// each a range over a map feeding an order-sensitive result — as a
-// regression corpus proving the maprange analyzer would have caught them.
+// Package histbugs reconstructs determinism bugs this repository once
+// shipped — each a range over a map feeding an order-sensitive result — as
+// a regression corpus proving the maprange analyzer would have caught them.
 package histbugs
 
 // LinkDemand sums per-link flow demands the way the pre-PR 1 rate

@@ -78,3 +78,27 @@ func Tolerated(m map[string]float64) float64 {
 	}
 	return t
 }
+
+type node struct {
+	parent   *node
+	children []*node
+	keys     []string
+	load     float64
+}
+
+// OwnField writes fields of the range value: one slice and one sum per key.
+func OwnField(m map[string]*node) {
+	for k, n := range m {
+		n.keys = append(n.keys, k)
+		n.load += 1.5
+	}
+}
+
+// ParentField writes fields of the range value's parent, which siblings
+// share, so the children land, and the sum rounds, in map order.
+func ParentField(m map[string]*node) {
+	for _, n := range m {
+		n.parent.children = append(n.parent.children, n) // want `append to "n.parent.children" inside range over map`
+		n.parent.load += n.load                          // want "float accumulation inside range over map"
+	}
+}

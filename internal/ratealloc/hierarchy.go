@@ -110,9 +110,15 @@ func NewHierarchy(ctrl *Controller, g *topology.Graph, servers map[topology.Node
 			}
 		}
 	}
-	// wire switch tree: parent = unique neighbouring switch at higher level
-	for id, ra := range h.ras {
-		for _, lid := range g.Out(id) {
+	// wire switch tree: parent = unique neighbouring switch at higher
+	// level. Walking g.Nodes, not the ras map, puts every RA's Children in
+	// node order, so a tie between subtrees goes the same way every run.
+	for _, n := range g.Nodes {
+		ra := h.ras[n.ID]
+		if ra == nil {
+			continue
+		}
+		for _, lid := range g.Out(n.ID) {
 			nb := g.Links[lid].To
 			nbNode := g.Nodes[nb]
 			if nbNode.Kind != topology.Switch {
@@ -120,15 +126,13 @@ func NewHierarchy(ctrl *Controller, g *topology.Graph, servers map[topology.Node
 			}
 			if nbNode.Level > ra.Level {
 				if ra.Parent != nil {
-					return nil, fmt.Errorf("ratealloc: switch %d has multiple parents; hierarchy requires a tree (use PathRate for general fabrics)", id)
+					return nil, fmt.Errorf("ratealloc: switch %d has multiple parents; hierarchy requires a tree (use PathRate for general fabrics)", n.ID)
 				}
 				ra.Parent = h.ras[nb]
 				ra.UpLink = lid
 				ra.DownLink = g.Links[lid].Reverse
 			}
 		}
-	}
-	for _, ra := range h.ras {
 		if ra.Parent == nil {
 			if h.root != nil {
 				return nil, fmt.Errorf("ratealloc: multiple root switches (%d and %d)", h.root.Switch, ra.Switch)

@@ -242,6 +242,32 @@ func TestEachServerVisitsAll(t *testing.T) {
 	}
 }
 
+// TestHierarchyChildOrderIsStable builds the fig. 6 hierarchy repeatedly:
+// every RA must list its children in ascending switch order, so when all
+// servers advertise the same rate the same server wins the tie each time.
+func TestHierarchyChildOrderIsStable(t *testing.T) {
+	winners := map[topology.NodeID]bool{}
+	for i := 0; i < 20; i++ {
+		_, c, h, _ := buildTree(t)
+		var walk func(ra *RA)
+		walk = func(ra *RA) {
+			for j, ch := range ra.Children {
+				if j > 0 && ch.Switch <= ra.Children[j-1].Switch {
+					t.Fatalf("build %d: switch %d lists child %d after %d", i, ra.Switch, ch.Switch, ra.Children[j-1].Switch)
+				}
+				walk(ch)
+			}
+		}
+		walk(h.Root())
+		c.Tick(0)
+		h.Update()
+		winners[h.Root().BestMin.Server] = true
+	}
+	if len(winners) != 1 {
+		t.Fatalf("an equal-rate tie went to %d different servers over 20 builds", len(winners))
+	}
+}
+
 func TestHierarchyRejectsNonTree(t *testing.T) {
 	g, _, err := topology.FatTree(4, 1e9, 1e-3)
 	if err != nil {

@@ -399,17 +399,6 @@ func newPlaneRig(t testing.TB, mode Mode) *planeRig {
 		}
 		*side.c, *side.h = c, h
 	}
-	// ties between subtrees go to the first child, and NewHierarchy
-	// lists children in map order, so the reference tree takes the real
-	// tree's order
-	for _, n := range tt.Graph.Nodes {
-		if ra := rig.realH.RAFor(n.ID); ra != nil {
-			ref := rig.refH.RAFor(n.ID)
-			for i, ch := range ra.Children {
-				ref.Children[i] = rig.refH.RAFor(ch.Switch)
-			}
-		}
-	}
 	return rig
 }
 

@@ -20,20 +20,13 @@ func DeriveSeeds(base uint64, n int) []uint64 {
 	return seeds
 }
 
-// Replicate runs fn once per seed derived from base, fanned out on the
+// ReplicateCtx runs fn once per seed derived from base, fanned out on the
 // pool, and returns the per-replicate results in replicate order. Each
 // invocation receives its own seed and must build all randomness from it
-// (sim.NewRNG(seed) per task, never shared across tasks).
-func Replicate[T any](p *Pool, base uint64, n int, fn func(rep int, seed uint64) (T, error)) ([]T, error) {
-	return ReplicateCtx(context.Background(), p, base, n, func(_ context.Context, rep int, seed uint64) (T, error) {
-		return fn(rep, seed)
-	})
-}
-
-// ReplicateCtx is Replicate with cooperative cancellation (MapCtx's rules):
-// no replicate starts once ctx is done, and the seed stream is unchanged —
-// replicate i always receives DeriveSeeds(base, n)[i] regardless of how
-// many replicates actually ran.
+// (sim.NewRNG(seed) per task, never shared across tasks). Cancellation
+// follows MapCtx's rules: no replicate starts once ctx is done, and the
+// seed stream is unchanged — replicate i always receives
+// DeriveSeeds(base, n)[i] regardless of how many replicates actually ran.
 func ReplicateCtx[T any](ctx context.Context, p *Pool, base uint64, n int, fn func(ctx context.Context, rep int, seed uint64) (T, error)) ([]T, error) {
 	seeds := DeriveSeeds(base, n)
 	return MapCtx(ctx, p, n, func(ctx context.Context, i int) (T, error) {

@@ -9,9 +9,8 @@
 // siblings, so a run fanned out over N workers produces byte-identical
 // results to the same run executed serially. The package also provides a
 // per-key singleflight cache (Group) so that tasks requesting the same
-// expensive scenario share one computation without serialising unrelated
-// scenarios, and multi-seed replication helpers that reduce replicate runs
-// to mean ± 95% confidence intervals.
+// expensive result share one computation without serialising unrelated
+// ones, and the seed derivation that replicate runs share.
 package runner
 
 import (
@@ -190,20 +189,4 @@ submit:
 		}
 	}
 	return out, nil
-}
-
-// Each is Map for tasks with no result value.
-func Each(p *Pool, n int, fn func(i int) error) error {
-	_, err := Map(p, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// EachCtx is MapCtx for tasks with no result value.
-func EachCtx(ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapCtx(ctx, p, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

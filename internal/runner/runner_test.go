@@ -100,19 +100,6 @@ func TestMapSerialStopsAtError(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var n atomic.Int64
-	if err := Each(New(4), 32, func(i int) error {
-		n.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 32 {
-		t.Fatalf("ran %d of 32", n.Load())
-	}
-}
-
 func TestDefaultPool(t *testing.T) {
 	if Default() != Default() {
 		t.Fatal("Default pool not shared")
@@ -209,49 +196,6 @@ func TestGroupErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestGroupClear(t *testing.T) {
-	g := NewGroup[string, int]()
-	calls := 0
-	fn := func() (int, error) { calls++; return calls, nil }
-	g.Do("k", fn)
-	g.Clear()
-	if g.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", g.Len())
-	}
-	v, _ := g.Do("k", fn)
-	if v != 2 || calls != 2 {
-		t.Fatalf("Clear did not force recompute: v=%d calls=%d", v, calls)
-	}
-}
-
-func TestGroupClearDuringFlight(t *testing.T) {
-	// Clear while a call is in flight: existing waiters still get the
-	// result; the next Do recomputes.
-	g := NewGroup[string, int]()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan int)
-	go func() {
-		v, _ := g.Do("k", func() (int, error) {
-			close(started)
-			<-release
-			return 1, nil
-		})
-		done <- v
-	}()
-	<-started
-	g.Clear()
-	close(release)
-	if v := <-done; v != 1 {
-		t.Fatalf("in-flight waiter got %d", v)
-	}
-	calls := 0
-	v, _ := g.Do("k", func() (int, error) { calls++; return 2, nil })
-	if v != 2 || calls != 1 {
-		t.Fatalf("post-Clear Do returned stale value %d (calls=%d)", v, calls)
-	}
-}
-
 func TestMapCtxSerialStopsBetweenTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
@@ -343,19 +287,6 @@ func TestMapCtxBackgroundMatchesMap(t *testing.T) {
 		if v != i*2 {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
-	}
-}
-
-func TestEachCtx(t *testing.T) {
-	var n atomic.Int64
-	if err := EachCtx(context.Background(), New(3), 24, func(_ context.Context, i int) error {
-		n.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 24 {
-		t.Fatalf("ran %d of 24", n.Load())
 	}
 }
 
@@ -516,7 +447,7 @@ func TestDeriveSeeds(t *testing.T) {
 
 func TestReplicate(t *testing.T) {
 	seeds := DeriveSeeds(5, 4)
-	got, err := Replicate(New(4), 5, 4, func(rep int, seed uint64) (uint64, error) {
+	got, err := ReplicateCtx(context.Background(), New(4), 5, 4, func(_ context.Context, rep int, seed uint64) (uint64, error) {
 		if seed != seeds[rep] {
 			t.Errorf("rep %d seed %d, want %d", rep, seed, seeds[rep])
 		}

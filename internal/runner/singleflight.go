@@ -15,7 +15,7 @@ type call[V any] struct {
 // successful results are cached for later callers. Distinct keys never
 // block each other — the Group's lock is held only to look up or install a
 // call, not while the function runs. Failed calls are forgotten so a later
-// Do can retry.
+// Do can retry. Create one with NewGroup.
 type Group[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*call[V]
@@ -27,12 +27,9 @@ func NewGroup[K comparable, V any]() *Group[K, V] {
 }
 
 // Do returns the cached value for key, or runs fn to produce it. Exactly
-// one caller runs fn per key per Clear generation; the rest wait.
+// one caller runs fn per key until the key is forgotten; the rest wait.
 func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[K]*call[V])
-	}
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		<-c.done
@@ -47,8 +44,8 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 
 	if c.err != nil {
 		g.mu.Lock()
-		// Remove only our own entry: a Clear may have replaced the map (or
-		// a retry may already have installed a fresh call) in the meantime.
+		// Remove only our own entry: once done, it may already have been
+		// forgotten and a retry installed a fresh call in the meantime.
 		if g.calls[key] == c {
 			delete(g.calls, key)
 		}
@@ -89,9 +86,6 @@ func (g *Group[K, V]) Peek(key K) (V, bool) {
 func (g *Group[K, V]) Add(key K, val V) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.calls == nil {
-		g.calls = make(map[K]*call[V])
-	}
 	if _, ok := g.calls[key]; ok {
 		return false
 	}
@@ -118,15 +112,6 @@ func (g *Group[K, V]) Forget(key K) {
 		return
 	}
 	delete(g.calls, key)
-}
-
-// Clear drops all cached and in-flight entries. Callers already waiting on
-// an in-flight call still receive its result; the next Do for any key
-// recomputes.
-func (g *Group[K, V]) Clear() {
-	g.mu.Lock()
-	g.calls = make(map[K]*call[V])
-	g.mu.Unlock()
 }
 
 // Len reports the number of cached or in-flight keys.

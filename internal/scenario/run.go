@@ -168,21 +168,15 @@ func RunCtx(ctx context.Context, s *Spec) (*Result, error) {
 	return Run(s)
 }
 
-// RunReplicated runs the spec at reps seeds derived from its own seed,
+// RunReplicatedCtx runs the spec at reps seeds derived from its own seed,
 // fanned out on the pool (nil = default), and aggregates series to mean ±
 // 95% CI curves and summaries to means with "_ci95" companions. reps <= 1
-// degenerates to a single Run.
-func RunReplicated(s *Spec, reps int, p *runner.Pool) (*Result, error) {
-	return RunReplicatedCtx(context.Background(), s, reps, p, nil)
-}
-
-// RunReplicatedCtx is RunReplicated with cooperative cancellation and
-// progress reporting. Once ctx is done no further replicate starts
-// (replicates already simulating run to completion) and the call returns
-// ctx.Err(). onRep, when non-nil, is invoked after each replicate finishes
-// with the number completed so far and the total — concurrently when the
-// pool is, so it must be safe to call from multiple goroutines. The
-// replicate seed stream is unchanged by either addition.
+// degenerates to a single Run. Once ctx is done no further replicate
+// starts (replicates already simulating run to completion) and the call
+// returns ctx.Err(). onRep, when non-nil, is invoked after each replicate
+// finishes with the number completed so far and the total — concurrently
+// when the pool is, so it must be safe to call from multiple goroutines.
+// The replicate seed stream is unchanged by either.
 func RunReplicatedCtx(ctx context.Context, s *Spec, reps int, p *runner.Pool, onRep func(done, total int)) (*Result, error) {
 	if reps <= 1 {
 		r, err := RunCtx(ctx, s)
@@ -212,12 +206,6 @@ func RunReplicatedCtx(ctx context.Context, s *Spec, reps int, p *runner.Pool, on
 // pool so both axes fan out without nested Map calls. Results are in spec
 // order.
 func RunAll(specs []*Spec, reps int, p *runner.Pool) ([]*Result, error) {
-	return RunAllCtx(context.Background(), specs, reps, p)
-}
-
-// RunAllCtx is RunAll with cooperative cancellation: once ctx is done no
-// further (scenario, replicate) cell starts and the call returns ctx.Err().
-func RunAllCtx(ctx context.Context, specs []*Spec, reps int, p *runner.Pool) ([]*Result, error) {
 	if reps <= 0 {
 		reps = 1
 	}
@@ -240,10 +228,10 @@ func RunAllCtx(ctx context.Context, specs []*Spec, reps int, p *runner.Pool) ([]
 			cells = append(cells, cell{spec: i, seed: seed})
 		}
 	}
-	flat, err := runner.MapCtx(ctx, p, len(cells), func(ctx context.Context, i int) (*Result, error) {
+	flat, err := runner.Map(p, len(cells), func(i int) (*Result, error) {
 		variant := *specs[cells[i].spec]
 		variant.Seed = cells[i].seed
-		return RunCtx(ctx, &variant)
+		return Run(&variant)
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -258,12 +259,12 @@ func TestRunFaultInjection(t *testing.T) {
 }
 
 // TestRunReplicatedAddsCI: replication produces _ci95 companions, a
-// replicates count, and YErr-bearing series; and RunAll over one pool is
-// deterministic w.r.t. worker count.
+// replicates count, and YErr-bearing series, and does not depend on the
+// pool's worker count.
 func TestRunReplicatedAddsCI(t *testing.T) {
 	s := loadMini(t)
 	s.Faults = nil
-	r, err := RunReplicated(s, 3, runner.Serial())
+	r, err := RunReplicatedCtx(context.Background(), s, 3, runner.Serial(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestRunReplicatedAddsCI(t *testing.T) {
 	if len(r.Groups) != 3 || r.Groups[0].Series[0].YErr == nil {
 		t.Error("aggregated series missing YErr")
 	}
-	par, err := RunReplicated(s, 3, runner.New(4))
+	par, err := RunReplicatedCtx(context.Background(), s, 3, runner.New(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
