@@ -32,15 +32,20 @@ func mustNew(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
-// TestSystemWiring: SCDA builds the allocation plane and the content-aware
-// picker and no random picker; RandTCP builds the reverse.
-func TestSystemWiring(t *testing.T) {
-	scda := mustNew(t, smallConfig(SCDA))
-	if scda.Ctrl == nil || scda.Hier == nil || scda.Picker == nil || scda.Random != nil {
+// TestSCDAWiring: SCDA builds the allocation plane and the content-aware
+// picker and no random picker.
+func TestSCDAWiring(t *testing.T) {
+	c := mustNew(t, smallConfig(SCDA))
+	if c.Ctrl == nil || c.Hier == nil || c.Picker == nil || c.Random != nil {
 		t.Fatal("SCDA planes not wired")
 	}
-	rand := mustNew(t, smallConfig(RandTCP))
-	if rand.Ctrl != nil || rand.Hier != nil || rand.Picker != nil || rand.Random == nil {
+}
+
+// TestRandTCPWiring: the baseline builds the random picker and none of
+// SCDA's planes.
+func TestRandTCPWiring(t *testing.T) {
+	c := mustNew(t, smallConfig(RandTCP))
+	if c.Ctrl != nil || c.Hier != nil || c.Picker != nil || c.Random == nil {
 		t.Fatal("RandTCP built SCDA planes or no random picker")
 	}
 }

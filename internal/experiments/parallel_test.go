@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/runner"
@@ -55,6 +56,54 @@ func TestParallelFiguresDeterministic(t *testing.T) {
 		if s != p {
 			t.Fatalf("figure %s diverges between serial and parallel runs:\n--- serial\n%s--- parallel\n%s",
 				serial[i].ID, s, p)
+		}
+	}
+}
+
+// TestFiguresShareFiveRuns: the 12 figures reduce exactly 5 runs, and the
+// figures of one run read its cells without disturbing one another. Figs.
+// 7-9 share a run; requested together, duplicates included, each must equal
+// the same figure requested alone. The lone requests run concurrently, so
+// under -race this also shows that RunFigures calls share no state.
+func TestFiguresShareFiveRuns(t *testing.T) {
+	runs := map[paperRun]bool{}
+	for _, f := range figures {
+		runs[f.run] = true
+	}
+	if len(runs) != 5 {
+		t.Fatalf("%d figures map to %d runs, want 5", len(figures), len(runs))
+	}
+
+	sc := tinyScale()
+	ids := []string{"fig07", "fig08", "fig09", "fig07", "fig08", "fig09"}
+	together, err := RunFigures(ids, sc, 1, runner.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := make([]FigureResult, 3)
+	errs := make([]error, 3)
+	var wg sync.WaitGroup
+	for i := range alone {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fs, err := RunFigures(ids[i:i+1], sc, 1, runner.New(2))
+			if err == nil {
+				alone[i] = fs[0]
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", ids[i], err)
+		}
+	}
+	for i, f := range together {
+		if snapshot(f) != snapshot(alone[i%3]) {
+			t.Fatalf("%s (request %d) differs from %s requested alone", ids[i], i, ids[i])
 		}
 	}
 }
