@@ -19,13 +19,22 @@
 // The forwarding path is allocation-free in steady state: Packet structs
 // are pooled on a per-Network free list (deterministic LIFO, not
 // sync.Pool, so reuse order — and therefore memory layout — is identical
-// across same-seed runs), per-port queues are ring buffers, and the two
-// simulator events per hop reuse two long-lived callbacks instead of
-// capturing closures. The transmit-complete event goes in the simulator's
-// event queue via sim.AfterArg. The far-end arrival goes on the link's
-// sim.Lane: a link delivers in the order it transmits, so its packets in
-// propagation take one queue slot per link, not one per packet, and fire
-// in the same order.
+// across same-seed runs), per-port queues are ring buffers, and the hop
+// events reuse long-lived callbacks instead of capturing closures.
+//
+// What a transmission costs: one event per hop, the far-end arrival, which
+// goes on the link's sim.Lane (a link delivers in the order it transmits,
+// so its packets in propagation take one queue slot per link, not one per
+// packet, and fire in the same order). The transmit-complete is reserved
+// with sim.Reserve where the transmission starts, and queued under that
+// key (sim.AtMarkArg) only when a packet is queued behind the transmission:
+// then it starts the next one. A completion that finds its port empty
+// would only clear busy and add SentBytes, so no event is spent on it;
+// whoever reads the port next (enqueue, Stats, LinkUtilization) settles it
+// once sim.Reached reports that it would have fired. A packet that
+// arrives at the instant a transmission ends still finds the port as the
+// event would have left it, because Reached compares sequence numbers as
+// the event queue does, and SentBytes is exact at every read.
 package netsim
 
 import (
@@ -164,6 +173,8 @@ type linkState struct {
 	limitB  int
 	busy    bool
 	txSize  int       // bytes of the packet currently on the wire
+	done    sim.Mark  // the transmit-complete's key, reserved at startTx
+	armed   bool      // the transmit-complete is queued under done
 	prop    *sim.Lane // far-end arrivals, in transmit order
 	stats   LinkStats
 
@@ -210,8 +221,8 @@ type Network struct {
 	// depend on scheduling).
 	free []*Packet
 
-	// txDoneFn and arriveFn are the two per-hop event callbacks, created
-	// once so the hot path schedules events without allocating closures.
+	// txDoneFn and arriveFn are the per-hop event callbacks, created once
+	// so the hot path schedules events without allocating closures.
 	txDoneFn func(any)
 	arriveFn func(any)
 
@@ -253,11 +264,8 @@ func New(s *sim.Simulator, g *topology.Graph, cfg Config) *Network {
 	}
 	n.txDoneFn = func(arg any) {
 		ls := arg.(*linkState)
-		ls.busy = false
 		ls.stats.SentBytes += int64(ls.txSize)
-		if ls.q.n > 0 {
-			n.startTx(ls)
-		}
+		n.startTx(ls) // armed only behind a queued packet, so one waits
 	}
 	n.arriveFn = func(arg any) {
 		pkt := arg.(*Packet)
@@ -339,11 +347,24 @@ func (n *Network) deliver(pkt *Packet) {
 	n.recycle(pkt)
 }
 
+// settle applies a transmit-complete that was never queued once its key
+// is reached: the port went idle then.
+//
+//scda:noalloc
+func (n *Network) settle(ls *linkState) {
+	if ls.busy && !ls.armed && n.Sim.Reached(ls.done) {
+		ls.busy = false
+		ls.stats.SentBytes += int64(ls.txSize)
+	}
+}
+
 // enqueue applies drop-tail admission, updates the SJF flow counters, and
-// starts transmission if the port is idle.
+// starts transmission if the port is idle, or else queues the
+// transmit-complete that will.
 //
 //scda:noalloc steady state: the SJF flow-index insert is one-time per flow
 func (n *Network) enqueue(ls *linkState, pkt *Packet) {
+	n.settle(ls)
 	ls.stats.ArrivedBytes += int64(pkt.Size)
 	ls.stats.Packets++
 	if ls.queuedB+pkt.Size > ls.limitB {
@@ -368,6 +389,9 @@ func (n *Network) enqueue(ls *linkState, pkt *Packet) {
 	ls.stats.QueuedBytes = ls.queuedB
 	if !ls.busy {
 		n.startTx(ls)
+	} else if !ls.armed {
+		ls.armed = true
+		n.Sim.AtMarkArg(ls.done, n.txDoneFn, ls)
 	}
 }
 
@@ -390,9 +414,11 @@ func (ls *linkState) pickNext() int {
 	return best
 }
 
-// startTx puts the chosen queued packet on the wire and schedules its two
-// hop events through the pre-built callbacks: transmit-complete in the
-// event queue, the far-end arrival on the link's propagation lane.
+// startTx puts the chosen queued packet on the wire, reserves its
+// transmit-complete (queued now only if packets wait behind it), and puts
+// the far-end arrival on the link's propagation lane. The reservation
+// takes its sequence number before the lane push, as the event it stands
+// for did, so every other event keeps its key.
 //
 //scda:noalloc
 func (n *Network) startTx(ls *linkState) {
@@ -405,8 +431,11 @@ func (n *Network) startTx(ls *linkState) {
 	pkt.hop = ls.link.To
 
 	txTime := float64(pkt.Size*8) / ls.link.Capacity
-	// transmission complete: free the port, chain the next packet
-	n.Sim.AfterArg(txTime, n.txDoneFn, ls)
+	// transmission complete: queued only to chain a waiting packet
+	ls.done = n.Sim.Reserve(n.Sim.Now() + txTime)
+	if ls.armed = ls.q.n > 0; ls.armed {
+		n.Sim.AtMarkArg(ls.done, n.txDoneFn, ls)
+	}
 	// arrival at the far end after propagation
 	ls.prop.AfterArg(txTime+ls.link.Delay, n.arriveFn, pkt)
 }
@@ -423,6 +452,7 @@ func (n *Network) SetCapacity(l topology.LinkID, capacity float64) {
 
 // Stats returns a copy of the counters for a link.
 func (n *Network) Stats(l topology.LinkID) LinkStats {
+	n.settle(n.links[l])
 	return n.links[l].stats
 }
 
@@ -444,5 +474,6 @@ func (n *Network) LinkUtilization(l topology.LinkID, elapsed sim.Time) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
+	n.settle(n.links[l])
 	return float64(n.links[l].stats.SentBytes*8) / (n.links[l].link.Capacity * elapsed)
 }

@@ -7,21 +7,23 @@ import (
 )
 
 // scheduleRun interprets a byte string as a schedule: top-level ops
-// schedule, cancel, cut the run with RunUntil (at a later time or at
-// exactly Now) or run it out, and every fired callback reads further bytes
-// to schedule children, call Stop or cancel. The same bytes drive three
-// queues: a Simulator that schedules every event with At/AtArg, a
-// Simulator that puts the events the bytes designate on 1–3 lanes, and
-// refQueue, a linear scan that needs no cleverness to be right. Each
-// run reads its own cursor, so the runs consume the input identically
-// exactly as long as they fire identically, and the first divergence shows
-// in the log.
+// schedule, cancel, reserve a key, ask whether a held reservation is
+// reached, queue a callback at one, cut the run with RunUntil (at a later
+// time, at exactly Now or before it) or run it out, and every fired
+// callback reads further bytes to do the same or call Stop. The same bytes
+// drive three queues: a Simulator that schedules every event with
+// At/AtArg, a Simulator that puts the events the bytes designate on 1–3
+// lanes, and refQueue, a linear scan that needs no cleverness to be right.
+// Each run reads its own cursor, so the runs consume the input identically
+// exactly as long as they fire and answer identically, and the first
+// divergence shows in the log.
 type scheduleRun struct {
 	q      orderQueue
 	tails  []Time // the time each lane's tail would have in the laned run
 	in     []byte
 	pos    int
 	direct []canceler // handles of the events every run schedules directly
+	queued []bool     // per held reservation, whether an event was queued at it
 	ids    int
 	log    []string
 }
@@ -130,6 +132,49 @@ func (d *scheduleRun) cancel() {
 	}
 }
 
+// reserve holds a reservation at Now or a step after it.
+func (d *scheduleRun) reserve() {
+	t := d.q.now()
+	if d.next()&1 != 0 {
+		t += d.delta()
+	}
+	d.q.reserve(t)
+	d.queued = append(d.queued, false)
+}
+
+// held picks a held reservation, or returns -1 when there is none.
+func (d *scheduleRun) held() int {
+	if len(d.queued) == 0 {
+		return -1
+	}
+	return int(d.next()) % len(d.queued)
+}
+
+// reached logs whether a held reservation is reached.
+func (d *scheduleRun) reached() {
+	if k := d.held(); k >= 0 {
+		d.log = append(d.log, fmt.Sprintf("reservation %d reached: %v", k, d.q.reached(k)))
+	}
+}
+
+// atMark queues a callback at a held reservation that is neither reached
+// nor already taken by one.
+func (d *scheduleRun) atMark() {
+	k := d.held()
+	if k < 0 || d.queued[k] {
+		return
+	}
+	if d.q.reached(k) {
+		d.log = append(d.log, fmt.Sprintf("reservation %d reached", k))
+		return
+	}
+	d.queued[k] = true
+	id := d.ids
+	d.ids++
+	d.log = append(d.log, fmt.Sprintf("queue %d at reservation %d", id, k))
+	d.direct = append(d.direct, d.q.atMark(k, d.fireArg, id))
+}
+
 func (d *scheduleRun) fireArg(arg any) { d.fire(arg.(int)) }
 
 func (d *scheduleRun) fire(id int) {
@@ -137,6 +182,15 @@ func (d *scheduleRun) fire(id int) {
 	b := d.next()
 	for i := 0; i < int(b%4); i++ {
 		d.schedule()
+	}
+	if b&0x04 != 0 {
+		d.reserve()
+	}
+	if b&0x08 != 0 {
+		d.reached()
+	}
+	if b&0x40 != 0 {
+		d.atMark()
 	}
 	if b&0x10 != 0 {
 		d.cancel()
@@ -155,7 +209,7 @@ func (d *scheduleRun) cut(end Time) {
 
 func (d *scheduleRun) run() []string {
 	for d.pos < len(d.in) {
-		switch d.next() % 8 {
+		switch d.next() % 12 {
 		case 0, 1, 2, 3:
 			d.schedule()
 		case 4:
@@ -166,6 +220,14 @@ func (d *scheduleRun) run() []string {
 			d.cut(d.q.now())
 		case 7:
 			d.cut(math.Inf(1))
+		case 8:
+			d.cut(d.q.now() - d.delta())
+		case 9:
+			d.reserve()
+		case 10:
+			d.reached()
+		case 11:
+			d.atMark()
 		}
 	}
 	d.cut(math.Inf(1))
@@ -175,12 +237,16 @@ func (d *scheduleRun) run() []string {
 // canceler is the part of an event handle a scheduleRun uses.
 type canceler interface{ Cancel() }
 
-// orderQueue is the event queue under a scheduleRun.
+// orderQueue is the event queue under a scheduleRun. Reservations are
+// numbered in the order reserve takes them.
 type orderQueue interface {
 	now() Time
 	at(t Time, fn func()) canceler
 	atArg(t Time, fn func(any), arg any) canceler
 	laneAtArg(k int, t Time, fn func(any), arg any) // lane k's push
+	reserve(t Time)
+	reached(k int) bool
+	atMark(k int, fn func(any), arg any) canceler // at reservation k
 	runUntil(end Time)
 	stop()
 	counts() (processed uint64, n int) // Processed and Len
@@ -191,6 +257,14 @@ type orderQueue interface {
 type simQueue struct {
 	s     *Simulator
 	lanes []*Lane
+	marks []Mark
+}
+
+func (q *simQueue) reserve(t Time)     { q.marks = append(q.marks, q.s.Reserve(t)) }
+func (q *simQueue) reached(k int) bool { return q.s.Reached(q.marks[k]) }
+
+func (q *simQueue) atMark(k int, fn func(any), arg any) canceler {
+	return q.s.AtMarkArg(q.marks[k], fn, arg)
 }
 
 func (q *simQueue) now() Time                                    { return q.s.Now() }
@@ -212,13 +286,23 @@ func (q *simQueue) laneAtArg(k int, t Time, fn func(any), arg any) {
 // plain list and fires the one with the least (time, sequence) key,
 // comparing times as floats, so -0 ties with +0. A lane push is scheduled
 // directly, which is exactly what the Lane contract promises it behaves
-// as. RunUntil's clock, Stop and Processed rules are the Simulator's.
+// as. RunUntil's clock, Stop and Processed rules are the Simulator's. A
+// reservation takes a sequence number and queues nothing: it is a key that
+// fires nothing, marked reached when the run takes an event at or after
+// it, or runs through its time without a Stop.
 type refQueue struct {
 	clock     Time
 	seq       uint64
 	pending   []*refEvent
+	marks     []*refMark
 	stopped   bool
 	processed uint64
+}
+
+type refMark struct {
+	at      Time
+	seq     uint64
+	reached bool
 }
 
 type refEvent struct {
@@ -243,12 +327,31 @@ func (e *refEvent) Cancel() {
 	}
 }
 
-func (q *refQueue) push(t Time, fn func()) *refEvent {
+// key checks t and takes the next sequence number.
+func (q *refQueue) key(t Time) uint64 {
 	if t < q.clock || math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("refQueue: scheduling at %v, now %v", t, q.clock))
 	}
-	e := &refEvent{q: q, at: t, seq: q.seq, fn: fn, queued: true}
 	q.seq++
+	return q.seq - 1
+}
+
+func (q *refQueue) push(t Time, fn func()) *refEvent {
+	e := &refEvent{q: q, at: t, seq: q.key(t), fn: fn, queued: true}
+	q.pending = append(q.pending, e)
+	return e
+}
+
+func (q *refQueue) reserve(t Time) { q.marks = append(q.marks, &refMark{at: t, seq: q.key(t)}) }
+
+func (q *refQueue) reached(k int) bool { return q.marks[k].reached }
+
+func (q *refQueue) atMark(k int, fn func(any), arg any) canceler {
+	m := q.marks[k]
+	if m.reached {
+		panic(fmt.Sprintf("refQueue: queueing at reached reservation %d", k))
+	}
+	e := &refEvent{q: q, at: m.at, seq: m.seq, fn: func() { fn(arg) }, queued: true}
 	q.pending = append(q.pending, e)
 	return e
 }
@@ -278,10 +381,22 @@ func (q *refQueue) runUntil(end Time) {
 		if m.at > end {
 			break
 		}
+		for _, r := range q.marks {
+			if r.at < m.at || r.at == m.at && r.seq <= m.seq {
+				r.reached = true
+			}
+		}
 		q.clock = m.at
 		q.processed++
 		m.Cancel()
 		m.fn()
+	}
+	if !q.stopped {
+		for _, r := range q.marks {
+			if r.at <= end {
+				r.reached = true
+			}
+		}
 	}
 	if !q.stopped && !math.IsInf(end, 1) && q.clock < end {
 		q.clock = end
@@ -289,8 +404,8 @@ func (q *refQueue) runUntil(end Time) {
 }
 
 // checkLaneOrder runs in through the reference and both Simulator modes
-// and fails on the first difference in firing sequence, Now, Processed or
-// Len.
+// and fails on the first difference in firing sequence, Reached answers,
+// Now, Processed or Len.
 func checkLaneOrder(t *testing.T, in []byte) {
 	t.Helper()
 	want := newScheduleRun(in, modeReference).run()
@@ -310,7 +425,8 @@ func checkLaneOrder(t *testing.T, in []byte) {
 // TestLaneOrderProperty drives seeded random schedules through the
 // reference and both Simulator modes: equal times, -0, times spread over
 // exponents, pushes before a lane's tail, pushes from inside callbacks (a
-// lane's own included), cancels, RunUntil cuts (at Now too) and Stop.
+// lane's own included), cancels, reservations (asked about and queued at,
+// inside callbacks too), RunUntil cuts (above, at and below Now) and Stop.
 func TestLaneOrderProperty(t *testing.T) {
 	rng := NewRNG(13)
 	for i := 0; i < 2000; i++ {

@@ -40,6 +40,16 @@
 // the queue, so a stream of any length costs the queue one slot. Lane
 // entries keep the (time, sequence) key they would have had in the queue,
 // so the firing order is the same as scheduling each one directly.
+//
+// Reserve sets a key aside without queueing anything: it takes the
+// sequence number an event scheduled at the same moment would take, so
+// every later event keeps the key it would have had. Reached answers
+// whether an event under that key would already have fired, and AtMarkArg
+// queues one under it while it has not. An unqueued reservation never
+// fires, never counts in Processed or Len, and never moves the clock. A
+// caller whose event would do nothing observable when it fires (netsim's
+// transmit-complete on a port with nothing queued) reserves it instead,
+// and settles its effect when it next reads the state.
 package sim
 
 import (
@@ -137,6 +147,13 @@ type Simulator struct {
 	// laneWaiting counts the lane entries behind their lane's head: they
 	// are pending but not in the queue.
 	laneWaiting int
+	// Reached answers from these. Every key before Now has been reached,
+	// and so has every key at Now below nowSeq: one past the sequence
+	// number of the event that fired last, or the next sequence number
+	// when a RunUntil returned unstopped at Now. Every key below drainSeq
+	// has been reached too: a Run that was not stopped drained them all.
+	nowSeq   uint64
+	drainSeq uint64
 
 	// Processed counts events executed since construction; useful for
 	// progress reporting and for benchmark metrics (events/sec).
@@ -160,17 +177,79 @@ func (s *Simulator) Len() int {
 	return n
 }
 
-// alloc takes a slot from the free list (or grows the arena), stamps it
-// with t and the next FIFO sequence number, and returns its index.
+// Mark is the (time, sequence) key of an event set aside by Reserve. The
+// zero Mark is the key of the first event scheduled at time zero.
+type Mark struct {
+	at  Time
+	seq uint64
+}
+
+// Reserve takes the key that an event scheduled at absolute time t now
+// would take, the next sequence number, and queues nothing, with the same
+// panics as At on a past or non-finite time. The key can be queued once,
+// with AtMarkArg, until Reached reports it.
 //
-//scda:noalloc steady state: the arena append is amortized pool growth
-func (s *Simulator) alloc(t Time) int32 {
+//scda:noalloc
+func (s *Simulator) Reserve(t Time) Mark {
+	if !(t >= s.now && t <= math.MaxFloat64) { // false for NaN too
+		s.badTime(t)
+	}
+	s.seq++
+	return Mark{at: t, seq: s.seq - 1}
+}
+
+// badTime panics on a time that Reserve and alloc refuse.
+func (s *Simulator) badTime(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
+	panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
+}
+
+// Reached reports whether an event queued under m would already have
+// fired: its key comes before, or is, the key of the event that fired
+// last, or a RunUntil that was not stopped has run through its time. A
+// cut before Now reaches nothing new.
+//
+//scda:noalloc
+func (s *Simulator) Reached(m Mark) bool {
+	return m.at < s.now || m.at == s.now && m.seq < s.nowSeq || m.seq < s.drainSeq
+}
+
+// AtMarkArg schedules fn(arg) under the key Reserve returned as m, so it
+// fires exactly where an event scheduled at the reservation would have.
+// Queueing at a reached key panics: that event would already have fired.
+//
+//scda:noalloc
+func (s *Simulator) AtMarkArg(m Mark, fn func(any), arg any) Event {
+	if s.Reached(m) {
+		panic(fmt.Sprintf("sim: queueing at reached key (%v, %d), now %v", m.at, m.seq, s.now))
 	}
+	id := s.take(m)
+	slot := &s.arena[id]
+	slot.fnArg = fn
+	slot.arg = arg
+	s.place(id)
+	return Event{s: s, id: id, gen: slot.gen}
+}
+
+// alloc takes a slot stamped with t and the next FIFO sequence number. It
+// checks t as Reserve does, without the call.
+//
+//scda:noalloc
+func (s *Simulator) alloc(t Time) int32 {
+	if !(t >= s.now && t <= math.MaxFloat64) {
+		s.badTime(t)
+	}
+	s.seq++
+	return s.take(Mark{at: t, seq: s.seq - 1})
+}
+
+// take takes a slot from the free list (or grows the arena), stamps it
+// with m's key, and returns its index.
+//
+//scda:noalloc steady state: the arena append is amortized pool growth
+func (s *Simulator) take(m Mark) int32 {
 	var id int32
 	if k := len(s.free); k > 0 {
 		id = s.free[k-1]
@@ -180,9 +259,8 @@ func (s *Simulator) alloc(t Time) int32 {
 		id = int32(len(s.arena) - 1)
 	}
 	slot := &s.arena[id]
-	slot.at = t
-	slot.seq = s.seq
-	s.seq++
+	slot.at = m.at
+	slot.seq = m.seq
 	return id
 }
 
@@ -411,6 +489,7 @@ func (s *Simulator) RunUntil(end Time) {
 		}
 		slot := &s.arena[top]
 		s.now = slot.at
+		s.nowSeq = slot.seq + 1
 		s.Processed++
 		fn, fnArg, arg := slot.fn, slot.fnArg, slot.arg
 		// Take and recycle before invoking the callback: the handle reads
@@ -428,8 +507,15 @@ func (s *Simulator) RunUntil(end Time) {
 			fn()
 		}
 	}
-	if !s.stopped && !math.IsInf(end, 1) && s.now < end {
-		s.now = end
+	switch {
+	case s.stopped || end < s.now:
+	case math.IsInf(end, 1):
+		s.drainSeq = s.seq
+	default:
+		if s.now < end {
+			s.now = end
+		}
+		s.nowSeq = s.seq
 	}
 }
 

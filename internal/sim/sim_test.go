@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,58 @@ func TestNonFiniteTimePanics(t *testing.T) {
 			}()
 			s.At(bad, func() {})
 		}()
+	}
+}
+
+// TestReservationPanics: Reserve refuses past and non-finite times as At
+// does, and AtMarkArg refuses a reached key.
+func TestReservationPanics(t *testing.T) {
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	s := New()
+	s.RunUntil(1)
+	for _, bad := range []Time{0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		panics(fmt.Sprintf("Reserve(%v) at 1", bad), func() { s.Reserve(bad) })
+	}
+	m := s.Reserve(2)
+	s.RunUntil(2)
+	panics("AtMarkArg at a reached key", func() { s.AtMarkArg(m, func(any) {}, nil) })
+}
+
+// TestReservedKeyKeepsItsPlace pins a reservation by hand: it queues
+// nothing, moves no clock, and an event queued under it later fires
+// between the events scheduled around the reservation, as if scheduled
+// then. Reached turns at exactly that place.
+func TestReservedKeyKeepsItsPlace(t *testing.T) {
+	s := New()
+	var got []string
+	var m Mark
+	rec := func(arg any) { got = append(got, fmt.Sprintf("%v@%v reached %v", arg, s.Now(), s.Reached(m))) }
+	s.AtArg(1, rec, "before")
+	m = s.Reserve(1)
+	s.AtArg(1, rec, "after")
+	if s.Len() != 2 || s.Reached(m) {
+		t.Fatalf("Len %d, Reached %v after Reserve, want 2, false", s.Len(), s.Reached(m))
+	}
+	s.AtArg(0.5, func(any) { s.AtMarkArg(m, rec, "mark") }, nil)
+	s.Run()
+	want := "[before@1 reached false mark@1 reached true after@1 reached true]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
+	// Unqueued, a reservation past the last event fires nothing and leaves
+	// the clock where it was, and a run that drains reaches it.
+	late := s.Reserve(9)
+	s.Run()
+	if s.Now() != 1 || s.Processed != 4 || !s.Reached(late) {
+		t.Fatalf("Now %v, Processed %d, Reached %v, want 1, 4, true", s.Now(), s.Processed, s.Reached(late))
 	}
 }
 

@@ -10,7 +10,11 @@
 #
 # The micro-benchmarks (BenchmarkEventLoop, BenchmarkMaxMinRates,
 # BenchmarkPacketForwarding, BenchmarkFluid1000Flows) measure the three hot
-# layers in isolation; BenchmarkFluidFabric is a whole fluid run in the
+# layers in isolation; BenchmarkPacketForwarding's fifo and sjf rows keep 8
+# packets in flight, so about two transmit-completes in three have a packet
+# waiting and are queued, and its idle row keeps one, so every
+# transmit-complete finds the port empty and is only reserved;
+# BenchmarkFluidFabric is a whole fluid run in the
 # sim-fluid regime (~900 flows of seeded churn on the 500-client /
 # 200-server fabric); BenchmarkChurn tracks the incremental max-min
 # solver's per-event repair against the full re-solve baseline at 10k
@@ -35,9 +39,15 @@
 # (parse + type-check + all five analyzers over internal/lint itself), so
 # the CI lint step's budget stays visible;
 # BenchmarkAllFiguresSerial is the end-to-end figure suite at bench scale.
-# Compare a fresh run against the committed JSON: ns/op regressions > ~20%
-# or any B/op growth on the 0-alloc benchmarks deserve a look before
-# merging.
+# Compare a fresh run against the committed JSON with
+#
+#   scripts/bench.sh /tmp/fresh.json
+#   go run ./scripts/benchdiff BENCH_hotpath.json /tmp/fresh.json
+#
+# which prints both medians, both ranges and their ratio per row, and
+# flags (exit 1) a median more than 20% slower whose range does not overlap
+# the old one, and any B/op growth on a 0-alloc row: each deserves a look
+# before merging.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
