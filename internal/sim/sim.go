@@ -199,6 +199,8 @@ func (s *Simulator) Reserve(t Time) Mark {
 }
 
 // badTime panics on a time that Reserve and alloc refuse.
+//
+//scda:noalloc
 func (s *Simulator) badTime(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
