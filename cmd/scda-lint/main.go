@@ -13,17 +13,14 @@
 //
 // Findings print as "file:line: [analyzer] message" with paths relative to
 // the module root. Exit status: 0 clean, 1 findings, 2 load/usage error.
-// The committed baseline (scripts/lint-baseline.txt, override with
-// -baseline) suppresses deliberately-exempt findings by their
-// line-number-free key; stale baseline entries are warned about on stderr
-// so the file cannot rot.
+// Every exemption is a //scda:*-ok annotation at the site, carrying its
+// reason; nothing else suppresses a finding.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/lint"
@@ -31,7 +28,6 @@ import (
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "scripts/lint-baseline.txt", "baseline file (module-root-relative); missing file = empty baseline")
 		analyzersCSV = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		list         = flag.Bool("list", false, "list the analyzers and exit")
 	)
@@ -79,21 +75,11 @@ func main() {
 	}
 
 	findings := lint.Run(pkgs, analyzers)
-
-	bl, err := lint.LoadBaseline(filepath.Join(loader.ModuleRoot, filepath.FromSlash(*baselinePath)))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scda-lint: %v\n", err)
-		os.Exit(2)
-	}
-	kept := bl.Filter(findings)
-	for _, e := range bl.Stale() {
-		fmt.Fprintf(os.Stderr, "scda-lint: stale baseline entry (matched nothing): %s\n", e)
-	}
-	for _, f := range kept {
+	for _, f := range findings {
 		fmt.Println(f)
 	}
-	if len(kept) > 0 {
-		fmt.Fprintf(os.Stderr, "scda-lint: %d finding(s)\n", len(kept))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "scda-lint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

@@ -236,7 +236,7 @@ type Cluster struct {
 
 	rng     *sim.RNG
 	ids     transport.FlowIDSource
-	stacks  map[topology.NodeID]*transport.Stack
+	mux     *transport.Mux
 	lastBin map[netsim.FlowID]int
 	failed  map[topology.NodeID]bool
 
@@ -268,7 +268,7 @@ func New(cfg Config) (*Cluster, error) {
 		Net:       net,
 		TT:        tt,
 		rng:       sim.NewRNG(cfg.Seed),
-		stacks:    make(map[topology.NodeID]*transport.Stack),
+		mux:       transport.NewMux(net),
 		lastBin:   make(map[netsim.FlowID]int),
 		failed:    make(map[topology.NodeID]bool),
 		mitigated: make(map[topology.LinkID]bool),
@@ -418,15 +418,6 @@ func (c *Cluster) handleViolation(v ratealloc.Violation) {
 	}
 }
 
-func (c *Cluster) stack(n topology.NodeID) *transport.Stack {
-	st, ok := c.stacks[n]
-	if !ok {
-		st = transport.NewStack(c.Net, n)
-		c.stacks[n] = st
-	}
-	return st
-}
-
 // canStoreFilter admits live servers with disk space for size bytes.
 func (c *Cluster) canStoreFilter(size int64) selection.Filter {
 	return func(n topology.NodeID) bool {
@@ -486,7 +477,7 @@ func (c *Cluster) startTransfer(src, dst topology.NodeID, size int64, op workloa
 		if err := c.Ctrl.Register(&ratealloc.Flow{ID: id, Path: path}); err != nil {
 			return
 		}
-		fl := scdatp.Start(c.Sim, c.Net, c.Ctrl, c.stack(src), c.stack(dst), &scdatp.Flow{
+		fl := scdatp.Start(c.mux, c.Ctrl, &scdatp.Flow{Conn: transport.Conn{
 			ID: id, Src: src, Dst: dst, Size: size,
 			OnComplete: func(fct sim.Time) {
 				if c.Sched != nil {
@@ -495,7 +486,7 @@ func (c *Cluster) startTransfer(src, dst topology.NodeID, size int64, op workloa
 				c.Ctrl.Unregister(id)
 				record(fct)
 			},
-		}, c.Cfg.SCDATransport)
+		}}, c.Cfg.SCDATransport)
 		if c.Sched != nil {
 			// implicit SJF (section IV-A): weight by bytes remaining,
 			// refreshed live from the transport's ACK state
@@ -503,10 +494,10 @@ func (c *Cluster) startTransfer(src, dst topology.NodeID, size int64, op workloa
 			_ = c.Sched.Attach(id, pol)
 		}
 	case RandTCP:
-		tcp.Start(c.Sim, c.Net, c.stack(src), c.stack(dst), &tcp.Flow{
+		tcp.Start(c.mux, &tcp.Flow{Conn: transport.Conn{
 			ID: id, Src: src, Dst: dst, Size: size,
 			OnComplete: func(fct sim.Time) { record(fct) },
-		}, c.Cfg.TCP)
+		}}, c.Cfg.TCP)
 	}
 }
 

@@ -384,15 +384,7 @@ func ablationOnFabric(build func() (*topology.Graph, []topology.NodeID, error)) 
 		return fabricOutcome{}, err
 	}
 	s.NewTicker(ctrl.Params.Tau, func() { ctrl.Tick(s.Now()) })
-	stacks := map[topology.NodeID]*transport.Stack{}
-	stackFor := func(n topology.NodeID) *transport.Stack {
-		if st, ok := stacks[n]; ok {
-			return st
-		}
-		st := transport.NewStack(net, n)
-		stacks[n] = st
-		return st
-	}
+	mux := transport.NewMux(net)
 	var ids transport.FlowIDSource
 	done := 0
 	const nFlows = 32
@@ -408,10 +400,10 @@ func ablationOnFabric(build func() (*topology.Graph, []topology.NodeID, error)) 
 			return fabricOutcome{}, err
 		}
 		idc := id
-		scdatp.Start(s, net, ctrl, stackFor(src), stackFor(dst), &scdatp.Flow{
+		scdatp.Start(mux, ctrl, &scdatp.Flow{Conn: transport.Conn{
 			ID: idc, Src: src, Dst: dst, Size: 2_000_000,
 			OnComplete: func(fct sim.Time) { ctrl.Unregister(idc); done++ },
-		}, scdatp.DefaultConfig())
+		}}, scdatp.DefaultConfig())
 	}
 	s.RunUntil(600)
 	return fabricOutcome{

@@ -28,12 +28,12 @@ func AblationOpenFlowSJF(sc Scale) (AblationResult, error) {
 		cfg := netsim.DefaultConfig()
 		cfg.Discipline = disc
 		net := netsim.New(s, g, cfg)
-		sa, sb := transport.NewStack(net, a), transport.NewStack(net, b)
+		mux := transport.NewMux(net)
 		// two elephants + a stream of mice over TCP (the discipline acts
 		// on the switch regardless of endpoint rate control)
 		var ids transport.FlowIDSource
 		for i := 0; i < 2; i++ {
-			tcp.Start(s, net, sa, sb, &tcp.Flow{ID: ids.Next(), Src: a, Dst: b, Size: 20_000_000}, tcp.DefaultConfig())
+			tcp.Start(mux, &tcp.Flow{Conn: transport.Conn{ID: ids.Next(), Src: a, Dst: b, Size: 20_000_000}}, tcp.DefaultConfig())
 		}
 		miceFCT := 0.0
 		miceDone := 0
@@ -41,10 +41,10 @@ func AblationOpenFlowSJF(sc Scale) (AblationResult, error) {
 		for i := 0; i < nMice; i++ {
 			at := 1 + float64(i)*0.25
 			s.At(at, func() {
-				tcp.Start(s, net, sa, sb, &tcp.Flow{
+				tcp.Start(mux, &tcp.Flow{Conn: transport.Conn{
 					ID: ids.Next(), Src: a, Dst: b, Size: 20_000,
 					OnComplete: func(fct sim.Time) { miceFCT += fct; miceDone++ },
-				}, tcp.DefaultConfig())
+				}}, tcp.DefaultConfig())
 			})
 		}
 		s.RunUntil(120)

@@ -58,15 +58,8 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Analyzer, f.Message)
 }
 
-// BaselineKey is the line-number-free identity used to match a finding
-// against baseline entries ("file: [analyzer] message"), so a baselined
-// exemption survives unrelated edits that shift line numbers.
-func (f Finding) BaselineKey() string {
-	return fmt.Sprintf("%s: [%s] %s", f.File, f.Analyzer, f.Message)
-}
-
-// Analyzer is one check: a name (used in finding tags, baseline entries and
-// the -analyzers flag), a one-line doc string, and the run function.
+// Analyzer is one check: a name (used in finding tags and the -analyzers
+// flag), a one-line doc string, and the run function.
 type Analyzer struct {
 	// Name tags findings and selects the analyzer on the CLI.
 	Name string

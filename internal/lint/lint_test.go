@@ -175,40 +175,3 @@ func TestMaprangeCatchesHistoricalBugs(t *testing.T) {
 		}
 	}
 }
-
-// TestBaseline covers baseline filtering: matched entries suppress their
-// findings, unmatched entries are reported stale, and comments are ignored.
-func TestBaseline(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.txt")
-	content := "# comment\n\n" +
-		"a.go: [wallclock] time.Now reads the wall clock in deterministic package x\n" +
-		"gone.go: [maprange] never matches anything\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bl, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := []Finding{
-		{File: "a.go", Line: 10, Analyzer: "wallclock", Message: "time.Now reads the wall clock in deterministic package x"},
-		{File: "b.go", Line: 3, Analyzer: "noalloc", Message: "fmt.Println allocates in //scda:noalloc function F"},
-	}
-	kept := bl.Filter(findings)
-	if len(kept) != 1 || kept[0].File != "b.go" {
-		t.Fatalf("Filter kept %v, expected only the b.go finding", kept)
-	}
-	stale := bl.Stale()
-	if len(stale) != 1 || !strings.HasPrefix(stale[0], "gone.go:") {
-		t.Fatalf("Stale() = %v, expected only the gone.go entry", stale)
-	}
-	// A missing baseline file is an empty baseline, not an error.
-	empty, err := LoadBaseline(filepath.Join(dir, "nope.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := empty.Filter(findings); len(got) != 2 {
-		t.Fatalf("empty baseline filtered findings: %v", got)
-	}
-}

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -59,28 +58,18 @@ func DefaultConfig() Config {
 	return Config{Tau: 0.05, InitialRTT: 0.06, MinRTO: 0.2, MaxWindowSegments: 1 << 16, WindowHeadroom: 1.2}
 }
 
-// Flow transfers Size bytes from Src to Dst at the allocated rate.
+// Flow is an SCDA transfer: a transport.Conn and the sender's rate-paced
+// window.
 type Flow struct {
-	ID   netsim.FlowID
-	Src  topology.NodeID
-	Dst  topology.NodeID
-	Size int64
+	transport.Conn
 
-	// OnComplete fires once with the flow completion time.
-	OnComplete func(fct sim.Time)
-
-	net   *netsim.Network
 	s     *sim.Simulator
 	cfg   Config
 	rates RateProvider
-	hash  uint64
 
-	start   sim.Time
-	segs    int64
 	nextSeq int64
 	highAck int64
 	dupAcks int
-	done    bool
 
 	srtt   float64
 	window int64
@@ -93,51 +82,27 @@ type Flow struct {
 	ticker      *sim.Ticker
 	timer       sim.Event
 	onTimeoutFn func()
-
-	srcStack *transport.Stack
-	dstStack *transport.Stack
-
-	rcvd    map[int64]bool
-	cumRcvd int64
-
-	// Retransmits counts re-sent segments (diagnostics; should stay near
-	// zero when the allocator keeps queues empty).
-	Retransmits int64
 }
 
-type senderEP struct{ f *Flow }
-type receiverEP struct{ f *Flow }
-
-func (e *senderEP) Receive(p *netsim.Packet)   { e.f.onAck(p) }
-func (e *receiverEP) Receive(p *netsim.Packet) { e.f.onData(p) }
-
-// Start begins the transfer. The flow must already be registered with the
-// rate allocator so that rates.FlowRate(f.ID) returns its allocation.
-func Start(s *sim.Simulator, net *netsim.Network, rates RateProvider, srcStack, dstStack *transport.Stack, f *Flow, cfg Config) *Flow {
-	if f.Size <= 0 {
-		panic("scdatp: flow size must be positive")
-	}
+// Start opens the transfer on m and starts pacing it. The flow must
+// already be registered with the rate allocator so that rates.FlowRate(f.ID)
+// returns its allocation.
+func Start(m *transport.Mux, rates RateProvider, f *Flow, cfg Config) *Flow {
 	if cfg.Tau <= 0 || cfg.InitialRTT <= 0 {
 		panic("scdatp: Tau and InitialRTT must be positive")
 	}
 	if cfg.WindowHeadroom <= 0 {
 		cfg.WindowHeadroom = 1.2
 	}
-	f.net = net
+	f.Open(m, f.onAck)
+	s := m.Net.Sim
 	f.s = s
 	f.cfg = cfg
 	f.rates = rates
-	f.hash = transport.Hash(f.ID)
-	f.start = s.Now()
-	f.segs = transport.Segments(f.Size)
 	f.srtt = cfg.InitialRTT
-	f.rcvd = make(map[int64]bool)
 	f.nextSend = s.Now()
 	f.sendFire = f.firePaced // one closure per flow, not per paced send
 	f.onTimeoutFn = f.onTimeout
-	f.srcStack, f.dstStack = srcStack, dstStack
-	srcStack.Bind(f.ID, &senderEP{f})
-	dstStack.Bind(f.ID, &receiverEP{f})
 
 	f.refreshWindow()
 	// section VIII-D: "these two cwnd updates ... are done by the RM of
@@ -179,9 +144,6 @@ func (f *Flow) Window() int64 { return f.window }
 // SRTT returns the smoothed RTT estimate (diagnostics).
 func (f *Flow) SRTT() float64 { return f.srtt }
 
-// Done reports completion.
-func (f *Flow) Done() bool { return f.done }
-
 // RemainingBytes returns the bytes not yet cumulatively acknowledged —
 // the live job size the implicit-SJF scheduler weighs flows by.
 func (f *Flow) RemainingBytes() int64 {
@@ -196,10 +158,10 @@ func (f *Flow) flight() int64 { return f.nextSeq - f.highAck }
 
 // pump schedules the next paced transmission if the window allows one.
 func (f *Flow) pump() {
-	if f.done || f.sendEv.Pending() {
+	if f.Done() || f.sendEv.Pending() {
 		return
 	}
-	if f.nextSeq >= f.segs || f.flight() >= f.window {
+	if f.nextSeq >= f.Segments() || f.flight() >= f.window {
 		return
 	}
 	delay := f.nextSend - f.s.Now()
@@ -211,12 +173,12 @@ func (f *Flow) pump() {
 
 // firePaced transmits one segment at its paced slot, then re-arms pump.
 func (f *Flow) firePaced() {
-	if f.done || f.nextSeq >= f.segs || f.flight() >= f.window {
+	if f.Done() || f.nextSeq >= f.Segments() || f.flight() >= f.window {
 		return
 	}
 	seq := f.nextSeq
 	f.nextSeq++
-	f.sendSeg(seq, false)
+	f.Send(seq)
 	// pace: next transmission one serialization interval later at
 	// the allocated rate
 	gap := float64(transport.SegmentWire(f.Size, seq)*8) / f.rate()
@@ -228,49 +190,8 @@ func (f *Flow) firePaced() {
 	f.pump()
 }
 
-func (f *Flow) sendSeg(seq int64, retransmit bool) {
-	if retransmit {
-		f.Retransmits++
-	}
-	p := f.net.NewPacket()
-	p.Flow = f.ID
-	p.Src = f.Src
-	p.Dst = f.Dst
-	p.Seq = seq
-	p.Size = transport.SegmentWire(f.Size, seq)
-	p.Hash = f.hash
-	p.SentAt = f.s.Now()
-	f.net.Send(p)
-}
-
-func (f *Flow) onData(p *netsim.Packet) {
-	if p.Seq >= f.cumRcvd && !f.rcvd[p.Seq] {
-		f.rcvd[p.Seq] = true
-		for f.rcvd[f.cumRcvd] {
-			delete(f.rcvd, f.cumRcvd)
-			f.cumRcvd++
-		}
-	}
-	// echo the data packet's send timestamp so the sender can measure RTT
-	// from the ACK ("the receiving cloud server can obtain the RTT from
-	// the time stamp values in the headers", section VIII-A step 8)
-	ack := f.net.NewPacket()
-	ack.Flow = f.ID
-	ack.Src = f.Dst
-	ack.Dst = f.Src
-	ack.Ack = true
-	ack.AckSeq = f.cumRcvd
-	ack.Size = transport.AckBytes
-	ack.Hash = f.hash
-	ack.SentAt = p.SentAt
-	f.net.Send(ack)
-}
-
+// onAck takes an RTT sample from the send time the ACK echoes.
 func (f *Flow) onAck(p *netsim.Packet) {
-	if f.done || !p.Ack {
-		return
-	}
-	// RTT sample from the echoed timestamp
 	if sample := f.s.Now() - p.SentAt; sample > 0 {
 		const alpha = 0.125
 		f.srtt = (1-alpha)*f.srtt + alpha*sample
@@ -284,10 +205,11 @@ func (f *Flow) onAck(p *netsim.Packet) {
 		f.dupAcks++
 		if f.dupAcks == 3 {
 			f.dupAcks = 0
-			f.sendSeg(f.highAck, true) // retransmit the hole, no rate cut
+			f.Retransmits++
+			f.Send(f.highAck) // retransmit the hole, no rate cut
 		}
 	}
-	if f.highAck >= f.segs {
+	if f.highAck >= f.Segments() {
 		f.complete()
 		return
 	}
@@ -300,14 +222,14 @@ func (f *Flow) rto() float64 {
 
 func (f *Flow) armTimer() {
 	f.timer.Cancel()
-	if f.done {
+	if f.Done() {
 		return
 	}
 	f.timer = f.s.After(f.rto(), f.onTimeoutFn)
 }
 
 func (f *Flow) onTimeout() {
-	if f.done {
+	if f.Done() {
 		return
 	}
 	// go-back-N: rewind to the hole so pacing re-sends everything
@@ -321,16 +243,8 @@ func (f *Flow) onTimeout() {
 }
 
 func (f *Flow) complete() {
-	if f.done {
-		return
-	}
-	f.done = true
 	f.ticker.Cancel()
 	f.timer.Cancel()
 	f.sendEv.Cancel()
-	f.srcStack.Unbind(f.ID)
-	f.dstStack.Unbind(f.ID)
-	if f.OnComplete != nil {
-		f.OnComplete(f.s.Now() - f.start)
-	}
+	f.Finish()
 }

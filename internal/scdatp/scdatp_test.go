@@ -11,14 +11,13 @@ import (
 	"repro/internal/transport"
 )
 
-// rig wires a chain topology, a live allocator ticking every τ, and stacks.
+// rig wires a chain topology, a live allocator ticking every τ, and a mux.
 type rig struct {
 	s    *sim.Simulator
 	net  *netsim.Network
+	mux  *transport.Mux
 	ctrl *ratealloc.Controller
 	a, b topology.NodeID
-	sa   *transport.Stack
-	sb   *transport.Stack
 	path []topology.LinkID
 }
 
@@ -37,8 +36,7 @@ func newRig(t *testing.T, capacity, delay float64) *rig {
 		t.Fatal(err)
 	}
 	s.NewTicker(ctrl.Params.Tau, func() { ctrl.Tick(s.Now()) })
-	return &rig{s: s, net: n, ctrl: ctrl, a: a, b: b,
-		sa: transport.NewStack(n, a), sb: transport.NewStack(n, b),
+	return &rig{s: s, net: n, mux: transport.NewMux(n), ctrl: ctrl, a: a, b: b,
 		path: []topology.LinkID{l1, l2}}
 }
 
@@ -47,13 +45,13 @@ func (r *rig) startFlow(t *testing.T, id netsim.FlowID, size int64, onDone func(
 	if err := r.ctrl.Register(&ratealloc.Flow{ID: id, Path: r.path}); err != nil {
 		t.Fatal(err)
 	}
-	f := &Flow{ID: id, Src: r.a, Dst: r.b, Size: size, OnComplete: func(d sim.Time) {
+	f := &Flow{Conn: transport.Conn{ID: id, Src: r.a, Dst: r.b, Size: size, OnComplete: func(d sim.Time) {
 		r.ctrl.Unregister(id)
 		if onDone != nil {
 			onDone(d)
 		}
-	}}
-	return Start(r.s, r.net, r.ctrl, r.sa, r.sb, f, DefaultConfig())
+	}}}
+	return Start(r.mux, r.ctrl, f, DefaultConfig())
 }
 
 func TestSingleFlowCompletes(t *testing.T) {
@@ -190,13 +188,10 @@ func TestRecoveryFromInducedLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.NewTicker(ctrl.Params.Tau, func() { ctrl.Tick(s.Now()) })
-	sa, sb := transport.NewStack(n, a), transport.NewStack(n, b)
-	lnk := topology.LinkID(l1)
-	_ = lnk
 	ctrl.Register(&ratealloc.Flow{ID: 1, Path: []topology.LinkID{l1}})
 	var fct sim.Time = -1
-	f := Start(s, n, ctrl, sa, sb, &Flow{ID: 1, Src: a, Dst: b, Size: 400_000,
-		OnComplete: func(d sim.Time) { fct = d }}, DefaultConfig())
+	f := Start(transport.NewMux(n), ctrl, &Flow{Conn: transport.Conn{ID: 1, Src: a, Dst: b, Size: 400_000,
+		OnComplete: func(d sim.Time) { fct = d }}}, DefaultConfig())
 	s.RunUntil(300)
 	if fct < 0 {
 		t.Fatalf("flow never recovered from loss (retransmits=%d)", f.Retransmits)
@@ -211,8 +206,8 @@ func TestOnCompleteOnce(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("OnComplete ×%d", calls)
 	}
-	if r.sa.Bound() != 0 || r.sb.Bound() != 0 {
-		t.Fatal("stacks not unbound")
+	if n := r.mux.Len(); n != 0 {
+		t.Fatalf("the mux holds %d open transfers", n)
 	}
 }
 
@@ -223,7 +218,7 @@ func TestZeroSizePanics(t *testing.T) {
 			t.Fatal("zero size accepted")
 		}
 	}()
-	Start(r.s, r.net, r.ctrl, r.sa, r.sb, &Flow{ID: 1, Src: r.a, Dst: r.b, Size: 0}, DefaultConfig())
+	Start(r.mux, r.ctrl, &Flow{Conn: transport.Conn{ID: 1, Src: r.a, Dst: r.b, Size: 0}}, DefaultConfig())
 }
 
 func TestManyFlowsConserveCapacity(t *testing.T) {
@@ -261,10 +256,9 @@ func BenchmarkSCDATransfer(b *testing.B) {
 		ctrl, _ := ratealloc.NewController(g, n, ratealloc.DefaultParams())
 		s.NewTicker(ctrl.Params.Tau, func() { ctrl.Tick(s.Now()) })
 		ctrl.Register(&ratealloc.Flow{ID: 1, Path: []topology.LinkID{l1, l2}})
-		sa, sb := transport.NewStack(n, a), transport.NewStack(n, c)
 		done := false
-		Start(s, n, ctrl, sa, sb, &Flow{ID: 1, Src: a, Dst: c, Size: 1_000_000,
-			OnComplete: func(d sim.Time) { done = true; s.Stop() }}, DefaultConfig())
+		Start(transport.NewMux(n), ctrl, &Flow{Conn: transport.Conn{ID: 1, Src: a, Dst: c, Size: 1_000_000,
+			OnComplete: func(d sim.Time) { done = true; s.Stop() }}}, DefaultConfig())
 		s.RunUntil(60)
 		if !done {
 			b.Fatal("incomplete")

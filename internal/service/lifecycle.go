@@ -140,16 +140,14 @@ func closed(ch <-chan struct{}) bool {
 
 // ledger is the bounded, ID-addressed registry of one resource kind: the
 // ID map, submission order for the list endpoint, the ID counter, and a
-// weighted bound kept as a running total. Eviction happens only when an
-// entry is published: once the total exceeds the bound, the oldest
-// settled entries are forgotten (their IDs 404). Live entries are never
-// evicted, and neither is the newest entry, so a born-done submission
-// cannot 404 before its client even receives the ID. A ledger whose old
-// entries were still live at the last publish therefore stays over its
-// bound, at rest, after they settle, until the next submission of its
-// kind. The ledger has no lock: Service.mu guards every ledger, and
-// settlement is read from Done, so eviction never takes an entry's own
-// lock.
+// weighted bound kept as a running total. Whenever an entry is published
+// or settles, trim forgets the oldest settled entries (their IDs 404)
+// while the total exceeds the bound. Live entries are never evicted, and
+// neither is the newest entry, so a born-done submission cannot 404
+// before its client even receives the ID. A ledger at rest is therefore
+// within its bound, or holds only its newest entry. The ledger has no
+// lock: Service.mu guards every ledger, and settlement is read from Done,
+// so eviction never takes an entry's own lock.
 type ledger[T settler] struct {
 	node   string      // the ring node's ID prefix "n<idx>-", "" single-node
 	kind   byte        // the kind's ID letter: 'j', 'g' or 's'
@@ -180,15 +178,20 @@ func (l *ledger[T]) weigh(v T) int {
 	return l.weight(v)
 }
 
-// publish registers v under id as the newest entry, then evicts settled
-// entries, oldest first, while the total weight exceeds the bound.
+// publish registers v under id as the newest entry, then trims.
 func (l *ledger[T]) publish(id string, v T) {
 	l.items[id] = v
 	l.order = append(l.order, id)
 	l.total += l.weigh(v)
+	l.trim()
+}
+
+// trim evicts settled entries other than the newest, oldest first, while
+// the total weight exceeds the bound.
+func (l *ledger[T]) trim() {
 	over := l.total - l.bound
 	// The common saturated case — oldest entries already settled — is
-	// O(1) per publish: drop from the front by reslicing.
+	// O(1) per trim: drop from the front by reslicing.
 	front, last := 0, len(l.order)-1
 	for over > 0 && front < last && closed(l.items[l.order[front]].Done()) {
 		over -= l.evict(l.order[front])
@@ -222,6 +225,20 @@ func (l *ledger[T]) evict(id string) int {
 	delete(l.items, id)
 	l.total -= w
 	return w
+}
+
+// settle runs settleEntry, which moves an entry to a terminal state under
+// the entry's own lock, then trims every ledger, all under s.mu: a job's
+// settlement can settle its group too, and no listing sees an entry
+// settled before the eviction it allows. Trimming here, and not only at
+// publication, is what keeps a ledger at rest within its bound.
+func (s *Service) settle(settleEntry func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	settleEntry()
+	s.jobs.trim()
+	s.groups.trim()
+	s.searches.trim()
 }
 
 // lookup finds the entry with the given ID under s.mu.

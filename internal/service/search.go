@@ -303,20 +303,21 @@ func (s *Service) runSearch(sj *SearchJob) {
 	ctx, cancel := context.WithCancel(s.base)
 	defer cancel()
 	if !sj.begin(cancel) {
-		sj.settle(StateCancelled, "", nil)
+		s.settle(func() { sj.settle(StateCancelled, "", nil) })
 		return
 	}
 	res, err := search.Run(ctx, sj.problem, &groupEvaluator{s: s, sj: sj}, sj.observeRound)
+	to, msg := StateDone, ""
 	switch {
 	case err == nil:
-		sj.settle(StateDone, "", res)
 	case errors.Is(err, context.Canceled):
 		// DELETE or shutdown; either way the search was stopped, not
 		// broken.
-		sj.settle(StateCancelled, "", nil)
+		to, res = StateCancelled, nil
 	default:
-		sj.settle(StateFailed, err.Error(), nil)
+		to, msg, res = StateFailed, err.Error(), nil
 	}
+	s.settle(func() { sj.settle(to, msg, res) })
 }
 
 // groupEvaluator adapts one search's round submissions onto the service's

@@ -428,6 +428,7 @@ func (s *Service) submit(spec *scenario.Spec, reps, priority int, deadline time.
 		j.settle(StateDone, "", art, true)
 	}
 	s.jobs.publish(id, j)
+	s.groups.trim() // a born-done job can settle its group
 	s.mu.Unlock()
 
 	if hit {
@@ -489,7 +490,9 @@ func (s *Service) cancelJob(j *Job) bool {
 		// A client-driven cancel settles the journal entry; a drain
 		// cancel does not — the work is still owed and the entry carries
 		// it across the restart.
-		if !j.settle(StateCancelled, "", nil, false) {
+		var owed bool
+		s.settle(func() { owed = j.settle(StateCancelled, "", nil, false) })
+		if !owed {
 			s.journal.remove(j.ID)
 		}
 	}
@@ -585,12 +588,12 @@ func (s *Service) publishGroup(name string, specs []*scenario.Spec, reps, priori
 func (s *Service) submitVariants(g *JobGroup, specs []*scenario.Spec) {
 	for i, spec := range specs {
 		if g.cancelPending() {
-			g.skipRemaining(len(specs)-i, "")
+			s.settle(func() { g.skipRemaining(len(specs)-i, "") })
 			return
 		}
 		j, err := s.submit(spec, g.Reps, g.Priority, g.deadline, g)
 		if err != nil {
-			g.skipRemaining(len(specs)-i, fmt.Sprintf("variant %s: %v", spec.Name, err))
+			s.settle(func() { g.skipRemaining(len(specs)-i, fmt.Sprintf("variant %s: %v", spec.Name, err)) })
 			return
 		}
 		if g.cancelPending() {
@@ -801,7 +804,9 @@ func (s *Service) runJob(j *Job) {
 		}
 		to, msg = StateFailed, err.Error()
 	}
-	if !j.settle(to, msg, art, !computed || diskHit || remoteHit) {
+	var owed bool
+	s.settle(func() { owed = j.settle(to, msg, art, !computed || diskHit || remoteHit) })
+	if !owed {
 		s.journal.remove(j.ID)
 	}
 }

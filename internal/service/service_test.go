@@ -556,7 +556,7 @@ func TestPruneNeverEvictsJustSubmittedJob(t *testing.T) {
 	// Saturated ledger where everything old is active: a born-done cache
 	// hit is the only terminal entry, and pruning must not evict it before
 	// the client can fetch it.
-	_, ts := newTestServer(t, Config{Workers: 1, JobRunners: 1, JobHistory: 2})
+	svc, ts := newTestServer(t, Config{Workers: 1, JobRunners: 1, JobHistory: 2})
 	warm, code := submit(t, ts, testSpec, "?wait=true")
 	if code != http.StatusOK || warm.State != StateDone {
 		t.Fatalf("warmup: %d %+v", code, warm)
@@ -581,12 +581,29 @@ func TestPruneNeverEvictsJustSubmittedJob(t *testing.T) {
 	if _, code := get(t, ts.URL+"/v1/jobs/"+hit.ID+"/result"); code != http.StatusOK {
 		t.Fatalf("just-submitted cache hit result unfetchable: %d", code)
 	}
-	for _, id := range []string{slow1.ID, slow2.ID} {
+	// Settlement evicts too: slow1 settles while the ledger weighs 3 of
+	// 2, so it goes; slow2 then settles within the bound and stays.
+	for i, id := range []string{slow1.ID, slow2.ID} {
+		j, ok := svc.Job(id)
+		if !ok {
+			t.Fatalf("%s evicted while live", id)
+		}
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
 		}
-		waitTerminal(t, ts, id)
+		select {
+		case <-j.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s never settled", id)
+		}
+		want := []int{http.StatusNotFound, http.StatusOK}[i]
+		if _, code := get(t, ts.URL+"/v1/jobs/"+id); code != want {
+			t.Fatalf("status of settled %s: %d, want %d", id, code, want)
+		}
+	}
+	if _, code := get(t, ts.URL+"/v1/jobs/"+hit.ID); code != http.StatusOK {
+		t.Fatalf("newest job evicted: %d", code)
 	}
 }
 

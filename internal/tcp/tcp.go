@@ -1,14 +1,16 @@
-// Package tcp implements a TCP Reno sender/receiver over the packet
-// simulator. It is the rate-control half of the paper's RandTCP baseline:
-// "existing schemes ... rely on the transmission control protocol (TCP) to
-// control the rates of the senders", and the paper attributes RandTCP's
+// Package tcp implements a TCP Reno sender over the packet simulator. It is
+// the rate-control half of the paper's RandTCP baseline: "existing schemes
+// ... rely on the transmission control protocol (TCP) to control the rates
+// of the senders", and the paper attributes RandTCP's
 // poor average file completion time and throughput fluctuation to exactly
 // this loss-driven behaviour.
 //
 // The model follows NS2's Reno agent closely enough for the comparison to
 // be meaningful: slow start, congestion avoidance, triple-duplicate-ACK
 // fast retransmit with Reno fast recovery, an RFC 6298-style retransmission
-// timer with exponential backoff, and per-packet cumulative ACKs.
+// timer with exponential backoff, and per-packet cumulative ACKs from the
+// receiver both transports share (transport.Conn). Reno times its RTT from
+// its own send record, so it ignores the send time an ACK echoes.
 package tcp
 
 import (
@@ -16,7 +18,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -40,25 +41,15 @@ func DefaultConfig() Config {
 	return Config{InitialCwnd: 2, InitialSsthresh: 64, MinRTO: 0.2, MaxCwnd: 1 << 20}
 }
 
-// Flow transfers Size bytes from Src to Dst and reports completion.
+// Flow is a Reno transfer: a transport.Conn and the sender's congestion
+// control.
 type Flow struct {
-	ID   netsim.FlowID
-	Src  topology.NodeID
-	Dst  topology.NodeID
-	Size int64
+	transport.Conn
 
-	// OnComplete fires once, when the last byte is cumulatively ACKed,
-	// with the flow completion time.
-	OnComplete func(fct sim.Time)
-
-	net  *netsim.Network
-	s    *sim.Simulator
-	cfg  Config
-	hash uint64
+	s   *sim.Simulator
+	cfg Config
 
 	// sender state
-	start    sim.Time
-	segs     int64
 	cwnd     float64
 	ssthresh float64
 	nextSeq  int64 // next segment to send for the first time
@@ -66,7 +57,6 @@ type Flow struct {
 	dupAcks  int
 	inRecov  bool
 	recover  int64 // highest seq outstanding when loss was detected
-	done     bool
 
 	// RTT estimation (Karn + Jacobson)
 	srtt, rttvar float64
@@ -78,51 +68,19 @@ type Flow struct {
 
 	timer       sim.Event
 	onTimeoutFn func()
-
-	srcStack *transport.Stack
-	dstStack *transport.Stack
-
-	// receiver state
-	rcvd    map[int64]bool
-	cumRcvd int64
-
-	sender   *senderEP
-	receiver *receiverEP
-
-	// Retransmits counts segments re-sent (diagnostics).
-	Retransmits int64
 }
 
-type senderEP struct{ f *Flow }
-type receiverEP struct{ f *Flow }
-
-func (e *senderEP) Receive(p *netsim.Packet)   { e.f.onAck(p) }
-func (e *receiverEP) Receive(p *netsim.Packet) { e.f.onData(p) }
-
-// Start begins the transfer: binds endpoints on both stacks and sends the
-// initial window. srcStack must be the stack at f.Src, dstStack at f.Dst.
-func Start(s *sim.Simulator, net *netsim.Network, srcStack, dstStack *transport.Stack, f *Flow, cfg Config) *Flow {
-	if f.Size <= 0 {
-		panic("tcp: flow size must be positive")
-	}
-	f.net = net
-	f.s = s
+// Start opens the transfer on m and sends the initial window.
+func Start(m *transport.Mux, f *Flow, cfg Config) *Flow {
+	f.Open(m, f.onAck)
+	f.s = m.Net.Sim
 	f.cfg = cfg
-	f.hash = transport.Hash(f.ID)
-	f.start = s.Now()
-	f.segs = transport.Segments(f.Size)
 	f.cwnd = cfg.InitialCwnd
 	f.ssthresh = cfg.InitialSsthresh
 	f.rto = 1.0 // RFC 6298 initial
 	f.backoff = 1
 	f.rttSeq = -1
 	f.onTimeoutFn = f.onTimeout // one closure per flow, not per re-arm
-	f.rcvd = make(map[int64]bool)
-	f.sender = &senderEP{f}
-	f.receiver = &receiverEP{f}
-	srcStack.Bind(f.ID, f.sender)
-	dstStack.Bind(f.ID, f.receiver)
-	f.srcStack, f.dstStack = srcStack, dstStack
 	f.pump()
 	f.armTimer()
 	return f
@@ -140,7 +98,7 @@ func (f *Flow) window() int64 {
 
 // pump transmits as many new segments as the window allows.
 func (f *Flow) pump() {
-	for f.nextSeq < f.segs && f.flight() < f.window() {
+	for f.nextSeq < f.Segments() && f.flight() < f.window() {
 		f.sendSeg(f.nextSeq, false)
 		f.nextSeq++
 	}
@@ -157,43 +115,11 @@ func (f *Flow) sendSeg(seq int64, isRetransmit bool) {
 		f.rttSentAt = f.s.Now()
 		f.rttValid = true
 	}
-	p := f.net.NewPacket()
-	p.Flow = f.ID
-	p.Src = f.Src
-	p.Dst = f.Dst
-	p.Seq = seq
-	p.Size = transport.SegmentWire(f.Size, seq)
-	p.Hash = f.hash
-	p.SentAt = f.s.Now()
-	f.net.Send(p)
-}
-
-// onData runs at the receiver: record the segment, send a cumulative ACK.
-func (f *Flow) onData(p *netsim.Packet) {
-	if p.Seq >= f.cumRcvd && !f.rcvd[p.Seq] {
-		f.rcvd[p.Seq] = true
-		for f.rcvd[f.cumRcvd] {
-			delete(f.rcvd, f.cumRcvd)
-			f.cumRcvd++
-		}
-	}
-	ack := f.net.NewPacket()
-	ack.Flow = f.ID
-	ack.Src = f.Dst
-	ack.Dst = f.Src
-	ack.Ack = true
-	ack.AckSeq = f.cumRcvd
-	ack.Size = transport.AckBytes
-	ack.Hash = f.hash
-	ack.SentAt = f.s.Now()
-	f.net.Send(ack)
+	f.Send(seq)
 }
 
 // onAck runs at the sender.
 func (f *Flow) onAck(p *netsim.Packet) {
-	if f.done || !p.Ack {
-		return
-	}
 	ack := p.AckSeq
 	switch {
 	case ack > f.highAck:
@@ -201,7 +127,7 @@ func (f *Flow) onAck(p *netsim.Packet) {
 	case ack == f.highAck:
 		f.dupAck()
 	}
-	if f.highAck >= f.segs {
+	if f.highAck >= f.Segments() {
 		f.complete()
 		return
 	}
@@ -274,14 +200,14 @@ func (f *Flow) updateRTT(sample float64) {
 
 func (f *Flow) armTimer() {
 	f.timer.Cancel()
-	if f.done {
+	if f.Done() {
 		return
 	}
 	f.timer = f.s.After(f.rto*f.backoff, f.onTimeoutFn)
 }
 
 func (f *Flow) onTimeout() {
-	if f.done || f.highAck >= f.segs {
+	if f.Done() || f.highAck >= f.Segments() {
 		return
 	}
 	// RTO: collapse to slow start, back off the timer
@@ -297,20 +223,9 @@ func (f *Flow) onTimeout() {
 }
 
 func (f *Flow) complete() {
-	if f.done {
-		return
-	}
-	f.done = true
 	f.timer.Cancel()
-	f.srcStack.Unbind(f.ID)
-	f.dstStack.Unbind(f.ID)
-	if f.OnComplete != nil {
-		f.OnComplete(f.s.Now() - f.start)
-	}
+	f.Finish()
 }
-
-// Done reports whether the transfer has completed.
-func (f *Flow) Done() bool { return f.done }
 
 // Cwnd returns the current congestion window in segments (diagnostics).
 func (f *Flow) Cwnd() float64 { return f.cwnd }

@@ -10,13 +10,12 @@ import (
 	"repro/internal/transport"
 )
 
-// rig is a two-host network with stacks on both ends.
+// rig is a two-host network and its mux.
 type rig struct {
 	s    *sim.Simulator
 	net  *netsim.Network
+	mux  *transport.Mux
 	a, b topology.NodeID
-	sa   *transport.Stack
-	sb   *transport.Stack
 }
 
 func newRig(capacity, delay float64, queueBytes int) *rig {
@@ -30,17 +29,16 @@ func newRig(capacity, delay float64, queueBytes int) *rig {
 		cfg.QueueBytes = queueBytes
 	}
 	n := netsim.New(s, g, cfg)
-	return &rig{s: s, net: n, a: a, b: b,
-		sa: transport.NewStack(n, a), sb: transport.NewStack(n, b)}
+	return &rig{s: s, net: n, mux: transport.NewMux(n), a: a, b: b}
 }
 
 func TestShortFlowCompletes(t *testing.T) {
 	r := newRig(10e6, 5e-3, 0)
 	var fct sim.Time = -1
-	f := Start(r.s, r.net, r.sa, r.sb, &Flow{
+	f := Start(r.mux, &Flow{Conn: transport.Conn{
 		ID: 1, Src: r.a, Dst: r.b, Size: 4000,
 		OnComplete: func(d sim.Time) { fct = d },
-	}, DefaultConfig())
+	}}, DefaultConfig())
 	r.s.RunUntil(60)
 	if !f.Done() || fct < 0 {
 		t.Fatal("flow did not complete")
@@ -55,10 +53,10 @@ func TestLargeFlowSaturatesLink(t *testing.T) {
 	r := newRig(10e6, 1e-3, 0)
 	const size = 2_000_000 // 2 MB
 	var fct sim.Time = -1
-	Start(r.s, r.net, r.sa, r.sb, &Flow{
+	Start(r.mux, &Flow{Conn: transport.Conn{
 		ID: 1, Src: r.a, Dst: r.b, Size: size,
 		OnComplete: func(d sim.Time) { fct = d },
-	}, DefaultConfig())
+	}}, DefaultConfig())
 	r.s.RunUntil(300)
 	if fct < 0 {
 		t.Fatal("large flow did not complete")
@@ -75,9 +73,9 @@ func TestLargeFlowSaturatesLink(t *testing.T) {
 
 func TestSlowStartDoubling(t *testing.T) {
 	r := newRig(1e9, 10e-3, 0) // fat link: no losses
-	f := Start(r.s, r.net, r.sa, r.sb, &Flow{
+	f := Start(r.mux, &Flow{Conn: transport.Conn{
 		ID: 1, Src: r.a, Dst: r.b, Size: 500_000,
-	}, DefaultConfig())
+	}}, DefaultConfig())
 	// after ~2 RTTs of slow start cwnd should have grown well past initial
 	r.s.RunUntil(0.075) // ~3 RTTs at 20ms RTT + tx
 	if f.Cwnd() < 8 {
@@ -89,10 +87,10 @@ func TestLossTriggersFastRetransmit(t *testing.T) {
 	// tiny queue forces drops once the window exceeds the pipe
 	r := newRig(5e6, 5e-3, 6000)
 	var fct sim.Time = -1
-	f := Start(r.s, r.net, r.sa, r.sb, &Flow{
+	f := Start(r.mux, &Flow{Conn: transport.Conn{
 		ID: 1, Src: r.a, Dst: r.b, Size: 1_000_000,
 		OnComplete: func(d sim.Time) { fct = d },
-	}, DefaultConfig())
+	}}, DefaultConfig())
 	r.s.RunUntil(300)
 	if fct < 0 {
 		t.Fatal("flow did not complete despite losses")
@@ -106,10 +104,10 @@ func TestCompletionDespiteHeavyLoss(t *testing.T) {
 	// pathological: queue barely fits two packets
 	r := newRig(2e6, 2e-3, 3200)
 	var fct sim.Time = -1
-	Start(r.s, r.net, r.sa, r.sb, &Flow{
+	Start(r.mux, &Flow{Conn: transport.Conn{
 		ID: 1, Src: r.a, Dst: r.b, Size: 300_000,
 		OnComplete: func(d sim.Time) { fct = d },
-	}, DefaultConfig())
+	}}, DefaultConfig())
 	r.s.RunUntil(600)
 	if fct < 0 {
 		t.Fatal("flow never completed under heavy loss")
@@ -121,10 +119,10 @@ func TestTwoFlowsShareLink(t *testing.T) {
 	done := 0
 	var fcts []sim.Time
 	for i := 0; i < 2; i++ {
-		Start(r.s, r.net, r.sa, r.sb, &Flow{
+		Start(r.mux, &Flow{Conn: transport.Conn{
 			ID: netsim.FlowID(i + 1), Src: r.a, Dst: r.b, Size: 1_000_000,
 			OnComplete: func(d sim.Time) { done++; fcts = append(fcts, d) },
-		}, DefaultConfig())
+		}}, DefaultConfig())
 	}
 	r.s.RunUntil(300)
 	if done != 2 {
@@ -141,9 +139,9 @@ func TestTwoFlowsShareLink(t *testing.T) {
 
 func TestRTTEstimation(t *testing.T) {
 	r := newRig(100e6, 25e-3, 0) // 50ms RTT
-	f := Start(r.s, r.net, r.sa, r.sb, &Flow{
+	f := Start(r.mux, &Flow{Conn: transport.Conn{
 		ID: 1, Src: r.a, Dst: r.b, Size: 300_000,
-	}, DefaultConfig())
+	}}, DefaultConfig())
 	r.s.RunUntil(5)
 	if f.SRTT() < 0.050 || f.SRTT() > 0.080 {
 		t.Fatalf("srtt = %v, want ≈ 0.05", f.SRTT())
@@ -159,10 +157,10 @@ func TestFCTScalesWithSize(t *testing.T) {
 	for i, size := range sizes {
 		r := newRig(20e6, 5e-3, 0)
 		var fct sim.Time = -1
-		Start(r.s, r.net, r.sa, r.sb, &Flow{
+		Start(r.mux, &Flow{Conn: transport.Conn{
 			ID: netsim.FlowID(i + 1), Src: r.a, Dst: r.b, Size: size,
 			OnComplete: func(d sim.Time) { fct = d },
-		}, DefaultConfig())
+		}}, DefaultConfig())
 		r.s.RunUntil(300)
 		if fct < 0 {
 			t.Fatalf("size %d did not complete", size)
@@ -181,30 +179,30 @@ func TestZeroSizePanics(t *testing.T) {
 			t.Fatal("zero-size flow accepted")
 		}
 	}()
-	Start(r.s, r.net, r.sa, r.sb, &Flow{ID: 1, Src: r.a, Dst: r.b, Size: 0}, DefaultConfig())
+	Start(r.mux, &Flow{Conn: transport.Conn{ID: 1, Src: r.a, Dst: r.b, Size: 0}}, DefaultConfig())
 }
 
 func TestOnCompleteExactlyOnce(t *testing.T) {
 	r := newRig(10e6, 1e-3, 0)
 	calls := 0
-	Start(r.s, r.net, r.sa, r.sb, &Flow{
+	Start(r.mux, &Flow{Conn: transport.Conn{
 		ID: 1, Src: r.a, Dst: r.b, Size: 50_000,
 		OnComplete: func(d sim.Time) { calls++ },
-	}, DefaultConfig())
+	}}, DefaultConfig())
 	r.s.RunUntil(60)
 	if calls != 1 {
 		t.Fatalf("OnComplete called %d times", calls)
 	}
 }
 
-func TestStacksUnboundAfterCompletion(t *testing.T) {
+func TestMuxEmptyAfterCompletion(t *testing.T) {
 	r := newRig(10e6, 1e-3, 0)
-	Start(r.s, r.net, r.sa, r.sb, &Flow{
+	Start(r.mux, &Flow{Conn: transport.Conn{
 		ID: 1, Src: r.a, Dst: r.b, Size: 50_000,
-	}, DefaultConfig())
+	}}, DefaultConfig())
 	r.s.RunUntil(60)
-	if r.sa.Bound() != 0 || r.sb.Bound() != 0 {
-		t.Fatalf("stacks still bound: %d/%d", r.sa.Bound(), r.sb.Bound())
+	if n := r.mux.Len(); n != 0 {
+		t.Fatalf("the mux holds %d open transfers", n)
 	}
 }
 
@@ -215,24 +213,16 @@ func TestManyParallelFlowsThroughTree(t *testing.T) {
 	}
 	s := sim.New()
 	n := netsim.New(s, tt.Graph, netsim.DefaultConfig())
-	stacks := map[topology.NodeID]*transport.Stack{}
-	stackFor := func(id topology.NodeID) *transport.Stack {
-		if st, ok := stacks[id]; ok {
-			return st
-		}
-		st := transport.NewStack(n, id)
-		stacks[id] = st
-		return st
-	}
+	mux := transport.NewMux(n)
 	done := 0
 	var ids transport.FlowIDSource
 	for i := 0; i < 30; i++ {
 		src := tt.Clients[i%len(tt.Clients)]
 		dst := tt.Servers[(i*7)%len(tt.Servers)]
-		Start(s, n, stackFor(src), stackFor(dst), &Flow{
+		Start(mux, &Flow{Conn: transport.Conn{
 			ID: ids.Next(), Src: src, Dst: dst, Size: 200_000,
 			OnComplete: func(d sim.Time) { done++ },
-		}, DefaultConfig())
+		}}, DefaultConfig())
 	}
 	s.RunUntil(300)
 	if done != 30 {
@@ -265,10 +255,10 @@ func TestThroughputFairnessTwoFlows(t *testing.T) {
 	r := newRig(10e6, 2e-3, 0)
 	var fcts []float64
 	for i := 0; i < 2; i++ {
-		Start(r.s, r.net, r.sa, r.sb, &Flow{
+		Start(r.mux, &Flow{Conn: transport.Conn{
 			ID: netsim.FlowID(i + 1), Src: r.a, Dst: r.b, Size: 2_000_000,
 			OnComplete: func(d sim.Time) { fcts = append(fcts, d) },
-		}, DefaultConfig())
+		}}, DefaultConfig())
 	}
 	r.s.RunUntil(600)
 	if len(fcts) != 2 {
@@ -286,9 +276,9 @@ func TestThroughputFairnessTwoFlows(t *testing.T) {
 func BenchmarkBulkTransfer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := newRig(100e6, 1e-3, 0)
-		Start(r.s, r.net, r.sa, r.sb, &Flow{
+		Start(r.mux, &Flow{Conn: transport.Conn{
 			ID: 1, Src: r.a, Dst: r.b, Size: 1_000_000,
-		}, DefaultConfig())
+		}}, DefaultConfig())
 		r.s.RunUntil(60)
 	}
 }

@@ -9,37 +9,80 @@ import (
 	"repro/internal/topology"
 )
 
-type countingEP struct{ got int }
-
-func (c *countingEP) Receive(*netsim.Packet) { c.got++ }
-
-func TestStackDemux(t *testing.T) {
+// TestConnMux drives one Conn on a two-host network through its mux:
+// the receiver's cumulative ACKs over out-of-order and repeated segments,
+// the echoed send times, the split between the sender's ACK handler and the
+// receiver, and what Finish closes.
+func TestConnMux(t *testing.T) {
 	g := topology.NewGraph()
 	a := g.AddNode(topology.Host, "a", 0)
 	b := g.AddNode(topology.Host, "b", 0)
 	g.AddDuplex(a, b, 1e9, 1e-3, 1)
 	s := sim.New()
 	n := netsim.New(s, g, netsim.DefaultConfig())
-	st := NewStack(n, b)
-	ep1, ep2 := &countingEP{}, &countingEP{}
-	st.Bind(1, ep1)
-	st.Bind(2, ep2)
-	if st.Bound() != 2 {
-		t.Fatalf("Bound = %d", st.Bound())
+	m := NewMux(n)
+
+	type ack struct {
+		seq    int64
+		sentAt sim.Time
 	}
-	n.Send(&netsim.Packet{Flow: 1, Src: a, Dst: b, Size: 100})
-	n.Send(&netsim.Packet{Flow: 2, Src: a, Dst: b, Size: 100})
-	n.Send(&netsim.Packet{Flow: 2, Src: a, Dst: b, Size: 100})
-	n.Send(&netsim.Packet{Flow: 9, Src: a, Dst: b, Size: 100}) // unbound: dropped silently
-	s.Run()
-	if ep1.got != 1 || ep2.got != 2 {
-		t.Fatalf("demux: ep1=%d ep2=%d", ep1.got, ep2.got)
+	var acks []ack
+	var fcts []sim.Time
+	c := &Conn{ID: 1, Src: a, Dst: b, Size: 5 * MSS, OnComplete: func(d sim.Time) { fcts = append(fcts, d) }}
+	onAck := func(p *netsim.Packet) {
+		if !p.Ack || p.Src != b || p.Dst != a || p.Flow != 1 || p.Size != AckBytes {
+			t.Errorf("the ACK handler got %+v", *p)
+		}
+		acks = append(acks, ack{p.AckSeq, p.SentAt})
 	}
-	st.Unbind(2)
-	n.Send(&netsim.Packet{Flow: 2, Src: a, Dst: b, Size: 100})
-	s.Run()
-	if ep2.got != 2 {
-		t.Fatal("unbound endpoint still receiving")
+	s.At(0.25, func() { c.Open(m, onAck) })
+
+	// Segment 2 before 1, 1 twice, 4 before 3; one link delivers in order.
+	seqs := []int64{0, 2, 1, 1, 4, 3}
+	want := []int64{1, 1, 3, 3, 3, 5}
+	for i, seq := range seqs {
+		seq := seq
+		s.At(0.5+0.1*float64(i), func() { c.Send(seq) })
+	}
+	s.RunUntil(2)
+	if m.Len() != 1 || c.Done() || c.Segments() != 5 {
+		t.Fatalf("open transfer: Len %d, Done %v, Segments %d", m.Len(), c.Done(), c.Segments())
+	}
+	if len(acks) != len(seqs) {
+		t.Fatalf("%d ACKs for %d segments", len(acks), len(seqs))
+	}
+	for i, got := range acks {
+		if sent := 0.5 + 0.1*float64(i); got.seq != want[i] || got.sentAt != sent {
+			t.Errorf("ACK %d = (%d, sent %v), want (%d, sent %v)", i, got.seq, got.sentAt, want[i], sent)
+		}
+	}
+
+	// A packet of an unknown flow reaches nothing: no ACK comes back.
+	delivered := n.Delivered
+	n.Send(&netsim.Packet{Flow: 9, Src: a, Dst: b, Size: 100})
+	n.Send(&netsim.Packet{Flow: 9, Src: b, Dst: a, Size: 100, Ack: true})
+	s.RunUntil(3)
+	if n.Delivered != delivered+2 || len(acks) != len(seqs) {
+		t.Fatalf("unknown flow: %d deliveries, %d ACKs", n.Delivered-delivered, len(acks)-len(seqs))
+	}
+
+	s.At(3.5, c.Finish)
+	s.At(4, c.Finish)
+	s.RunUntil(5)
+	if len(fcts) != 1 || fcts[0] != 3.5-0.25 {
+		t.Fatalf("OnComplete got %v, want one FCT of %v", fcts, 3.5-0.25)
+	}
+	if m.Len() != 0 || !c.Done() {
+		t.Fatalf("finished transfer: Len %d, Done %v", m.Len(), c.Done())
+	}
+
+	// After Finish, neither a data segment nor an ACK reaches anything.
+	delivered = n.Delivered
+	c.Send(0)
+	n.Send(&netsim.Packet{Flow: 1, Src: b, Dst: a, Size: AckBytes, Ack: true})
+	s.RunUntil(6)
+	if n.Delivered != delivered+2 || len(acks) != len(seqs) {
+		t.Fatalf("after Finish: %d deliveries, %d ACKs", n.Delivered-delivered, len(acks)-len(seqs))
 	}
 }
 

@@ -35,6 +35,12 @@
 # BenchmarkHierarchyUpdate times the fig. 2 aggregation when one link's
 # rate moved before it (changed) and when nothing did (unchanged, the
 # skip);
+# BenchmarkBulkTransfer (internal/tcp) times one 1 MB Reno transfer, from
+# building its two-host network (100 Mb/s, 1 ms) and mux to the last ACK,
+# and BenchmarkSCDATransfer (internal/scdatp) one 1 MB SCDA transfer over
+# a two-link 100 Mb/s chain with the allocator ticking every τ, so both
+# rows are the whole transport path: sender policy, the shared receiver
+# and mux, and netsim forwarding;
 # BenchmarkLintSelf tracks the static-analysis suite's cost per package
 # (parse + type-check + all five analyzers over internal/lint itself), so
 # the CI lint step's budget stays visible;
@@ -56,8 +62,8 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkFluidFabric|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkComputeRouting|BenchmarkTickTreeTopology|BenchmarkHierarchyUpdate|BenchmarkLintSelf' \
-    -benchmem -count 5 ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/topology ./internal/ratealloc ./internal/lint | tee "$tmp"
+    -bench 'BenchmarkEventLoop|BenchmarkMaxMinRates|BenchmarkChurn|BenchmarkPacketForwarding|BenchmarkFluid1000Flows|BenchmarkFluidFabric|BenchmarkServiceSubmitCached|BenchmarkServiceGroupSubmitCached|BenchmarkServiceSearchCached|BenchmarkServiceSubmitShed|BenchmarkComputeRouting|BenchmarkTickTreeTopology|BenchmarkHierarchyUpdate|BenchmarkBulkTransfer|BenchmarkSCDATransfer|BenchmarkLintSelf' \
+    -benchmem -count 5 ./internal/sim ./internal/flowsim ./internal/netsim ./internal/service ./internal/topology ./internal/ratealloc ./internal/tcp ./internal/scdatp ./internal/lint | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkAllFiguresSerial' -benchtime=1x -benchmem -count 5 . | tee -a "$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go env GOVERSION)" '
